@@ -2,7 +2,7 @@
 //! committed baseline.
 //!
 //! `BENCH_disc.json` (repo root) is the committed headline summary — one
-//! record per `(suite, backend, window, stride, threads)` with per-slide
+//! record per `(suite, backend, window, stride)` with per-slide
 //! tail latencies. `experiments compare` re-measures (or reads `--fresh`),
 //! matches rows by key, and fails when `p50_slide_us` grew beyond the
 //! tolerance (default 25%). Rows present in the baseline but missing from
@@ -30,8 +30,6 @@ pub struct BenchRow {
     pub window: u64,
     /// Stride size.
     pub stride: u64,
-    /// Worker threads the engine ran with (1 = sequential).
-    pub threads: u64,
     /// Slides measured.
     pub slides: u64,
     /// Median per-slide latency (µs).
@@ -47,7 +45,7 @@ pub struct BenchRow {
     /// Informational — latency is what the gate judges.
     pub cpu_util: f64,
     /// Stride-eviction cost (ns per evicted point). Informational, and
-    /// absent from summaries written before the curve backend (0.0 then).
+    /// absent from older summaries (0.0 then).
     pub evict_ns_per_point: f64,
     /// Peak accounted engine footprint over the run (bytes). Informational;
     /// 0.0 in summaries written before byte accounting.
@@ -66,13 +64,11 @@ pub struct BenchRow {
 }
 
 impl BenchRow {
-    /// The identity a row is matched on across runs. `threads` is part of
-    /// the key: a width-4 row regressing against a width-1 baseline would
-    /// be noise, not signal.
+    /// The identity a row is matched on across runs.
     pub fn key(&self) -> String {
         format!(
-            "{}/{} w={} s={} t={}",
-            self.suite, self.backend, self.window, self.stride, self.threads
+            "{}/{} w={} s={}",
+            self.suite, self.backend, self.window, self.stride
         )
     }
 
@@ -80,8 +76,8 @@ impl BenchRow {
     /// human has to reconstruct the absent row, not just grep for it.
     pub fn tuple(&self) -> String {
         format!(
-            "(suite={}, backend={}, window={}, stride={}, threads={})",
-            self.suite, self.backend, self.window, self.stride, self.threads
+            "(suite={}, backend={}, window={}, stride={})",
+            self.suite, self.backend, self.window, self.stride
         )
     }
 }
@@ -105,24 +101,11 @@ pub fn parse_rows(text: &str) -> Result<Vec<BenchRow>, String> {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("row {i}: missing number {key:?}"))
         };
-        // `threads` became part of the row identity with the parallel
-        // slide engine; a summary without it cannot be matched against
-        // one that has it, so refuse it with a pointer at the fix rather
-        // than guessing a width.
-        let threads = item.get("threads").and_then(Json::as_f64).ok_or_else(|| {
-            format!(
-                "row {i}: missing number \"threads\" — this summary predates the \
-                 parallel slide engine and its rows cannot be keyed; regenerate the \
-                 baseline with `cargo run --release -p disc-bench --bin experiments \
-                 -- backend`"
-            )
-        })?;
         rows.push(BenchRow {
             suite: str_field("suite")?,
             backend: str_field("backend")?,
             window: num("window")? as u64,
             stride: num("stride")? as u64,
-            threads: threads as u64,
             slides: num("slides")? as u64,
             p50_us: num("p50_slide_us")?,
             p99_us: num("p99_slide_us")?,
@@ -190,7 +173,7 @@ pub struct CompareReport {
     /// quietly doubling deserves eyes just like a tail spike.
     pub mem_drift: Vec<Delta>,
     /// Baseline rows with no fresh counterpart (gate failures), spelled
-    /// out as full `(suite, backend, window, stride, threads)` tuples.
+    /// out as full `(suite, backend, window, stride)` tuples.
     pub missing: Vec<String>,
     /// Fresh keys with no baseline counterpart (informational), excluding
     /// rows covered by `new_backends`.
@@ -366,7 +349,6 @@ mod tests {
             backend: backend.to_string(),
             window: 8000,
             stride,
-            threads: 1,
             slides: 5,
             p50_us: p50,
             p99_us: p99,
@@ -407,25 +389,6 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), rows.len());
-        // The curve backend's reason to exist: on the committed baseline's
-        // window=8000/stride=1600 rows, its stride-teardown eviction must
-        // undercut both other backends. Re-measure with
-        // `cargo run --release -p disc-bench --bin experiments -- backend`
-        // before committing a baseline that breaks this.
-        let evict_of = |backend: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.backend == backend && r.window == 8000 && r.stride == 1600 && r.threads == 1
-                })
-                .map(|r| r.evict_ns_per_point)
-                .expect("acceptance row missing from baseline")
-        };
-        let (rtree, grid, curve) = (evict_of("rtree"), evict_of("grid"), evict_of("curve"));
-        assert!(
-            curve > 0.0 && curve < grid && curve < rtree,
-            "curve teardown must evict cheapest at window=8000/stride=1600: \
-             curve={curve}ns grid={grid}ns rtree={rtree}ns"
-        );
     }
 
     #[test]
@@ -537,16 +500,14 @@ mod tests {
         assert!(text.contains("MISSING"));
         // The absent row is spelled out field by field, not just keyed.
         assert!(
-            text.contains(
-                "(suite=backend_ablation, backend=grid, window=8000, stride=400, threads=1)"
-            ),
+            text.contains("(suite=backend_ablation, backend=grid, window=8000, stride=400)"),
             "{text}"
         );
     }
 
-    /// A backend column that is entirely new to the fresh run (the curve
-    /// rollout shape) collapses into one hint line; a stray new row of a
-    /// known backend still reports per-row.
+    /// A backend column that is entirely new to the fresh run (a new
+    /// backend's rollout shape) collapses into one hint line; a stray new
+    /// row of a known backend still reports per-row.
     #[test]
     fn whole_new_backend_column_hints_once_not_per_row() {
         let base = vec![
@@ -556,9 +517,9 @@ mod tests {
         let fresh = vec![
             row("rtree", 400, 1000.0, 2000.0),
             row("grid", 400, 1.0, 2.0),
-            row("curve", 400, 1.0, 2.0),
-            row("curve", 800, 1.0, 2.0),
-            row("curve", 1600, 1.0, 2.0),
+            row("kdtree", 400, 1.0, 2.0),
+            row("kdtree", 800, 1.0, 2.0),
+            row("kdtree", 1600, 1.0, 2.0),
         ];
         let report = compare(&base, &fresh, 0.25);
         assert!(report.passed(), "new rows never fail the gate");
@@ -566,7 +527,7 @@ mod tests {
             report.added.is_empty(),
             "column rows collapse into the hint"
         );
-        assert_eq!(report.new_backends, vec![("curve".to_string(), 3)]);
+        assert_eq!(report.new_backends, vec![("kdtree".to_string(), 3)]);
         let text = report.render();
         assert_eq!(
             text.matches("refresh the baseline").count(),
@@ -574,7 +535,7 @@ mod tests {
             "hint must print once, not per row: {text}"
         );
         assert!(
-            text.contains("new backend \"curve\": 3 fresh row(s)"),
+            text.contains("new backend \"kdtree\": 3 fresh row(s)"),
             "{text}"
         );
     }
@@ -585,30 +546,17 @@ mod tests {
         assert!(parse_rows("[{\"suite\": \"x\"}]").is_err());
         assert!(parse_rows("[{\"suite\": 3}]").is_err());
         let ok = "[{\"suite\": \"s\", \"backend\": \"b\", \"window\": 10, \"stride\": 2, \
-                  \"threads\": 4, \"slides\": 5, \"p50_slide_us\": 1.0, \"p99_slide_us\": 2.0, \
+                  \"slides\": 5, \"p50_slide_us\": 1.0, \"p99_slide_us\": 2.0, \
                   \"max_slide_us\": 2.5, \"searches_per_slide\": 7.0, \"cpu_util\": 2.5}]";
         let rows = parse_rows(ok).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].key(), "s/b w=10 s=2 t=4");
+        assert_eq!(rows[0].key(), "s/b w=10 s=2");
         assert_eq!(rows[0].max_us, 2.5);
         assert_eq!(rows[0].cpu_util, 2.5);
-    }
-
-    /// A baseline written before the parallel slide engine has no
-    /// `threads` column; the gate must refuse it with a regeneration
-    /// hint, not silently match rows across different widths.
-    #[test]
-    fn threadless_baseline_fails_loudly_with_a_hint() {
-        let stale = "[{\"suite\": \"s\", \"backend\": \"b\", \"window\": 10, \"stride\": 2, \
-                     \"slides\": 5, \"p50_slide_us\": 1.0, \"p99_slide_us\": 2.0, \
-                     \"max_slide_us\": 2.5, \"searches_per_slide\": 7.0}]";
-        let err = parse_rows(stale).unwrap_err();
-        assert!(err.contains("threads"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
-        // `cpu_util`, by contrast, is informational and may be absent.
-        let ok = "[{\"suite\": \"s\", \"backend\": \"b\", \"window\": 10, \"stride\": 2, \
-                  \"threads\": 1, \"slides\": 5, \"p50_slide_us\": 1.0, \"p99_slide_us\": 2.0, \
-                  \"max_slide_us\": 2.5, \"searches_per_slide\": 7.0}]";
-        assert_eq!(parse_rows(ok).unwrap()[0].cpu_util, 0.0);
+        // The informational columns may be absent.
+        let bare = "[{\"suite\": \"s\", \"backend\": \"b\", \"window\": 10, \"stride\": 2, \
+                    \"slides\": 5, \"p50_slide_us\": 1.0, \"p99_slide_us\": 2.0, \
+                    \"max_slide_us\": 2.5, \"searches_per_slide\": 7.0}]";
+        assert_eq!(parse_rows(bare).unwrap()[0].cpu_util, 0.0);
     }
 }

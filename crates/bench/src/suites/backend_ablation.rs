@@ -16,7 +16,7 @@ use crate::suites::SEED;
 use crate::Scale;
 use disc_core::{Disc, DiscConfig, SlideStats};
 use disc_geom::PointId;
-use disc_index::{CurveIndex, GridIndex, SpatialBackend};
+use disc_index::{GridIndex, SpatialBackend};
 use disc_telemetry::{HistSnapshot, LogHistogram, MemoryFootprint};
 use disc_window::{datasets, Record, SlidingWindow};
 use std::io::Write;
@@ -27,12 +27,9 @@ struct Run {
     backend: &'static str,
     window: usize,
     stride: usize,
-    /// Worker threads the engine ran with (1 = sequential).
-    threads: usize,
     /// Mean CPU utilization over the measurement: process CPU time /
-    /// wall time, so 1.0 = one core fully busy and a perfectly scaling
-    /// width-4 run reads ~4.0. 0.0 when the platform cannot report it
-    /// (no procfs).
+    /// wall time, so 1.0 = one core fully busy. 0.0 when the platform
+    /// cannot report it (no procfs).
     cpu_util: f64,
     /// Total measured slides — `REPS` fresh passes merged, so this is the
     /// sample count behind the percentiles, not the stream length.
@@ -50,8 +47,7 @@ struct Run {
     visits_per_slide: f64,
     /// Stride-eviction cost (ns per evicted point): tearing the oldest
     /// stride out of a `window`-sized index, measured in isolation so the
-    /// number reflects the backend's bulk-remove path alone — the curve
-    /// backend's teardown-vs-per-node-delete claim lives here.
+    /// number reflects the backend's bulk-remove path alone.
     evict_ns_per_point: f64,
     /// Largest accounted engine footprint observed at any slide boundary
     /// across the repetitions (the `MemoryFootprint` estimate, bytes).
@@ -129,7 +125,6 @@ fn drive<const D: usize, B: SpatialBackend<D>>(
     tau: usize,
     window: usize,
     stride: usize,
-    threads: usize,
     max_slides: u32,
 ) -> Run {
     let cpu_before = proc_cpu_time();
@@ -149,8 +144,7 @@ fn drive<const D: usize, B: SpatialBackend<D>>(
     let mut last_assignments: Option<Vec<(PointId, i64)>> = None;
     for _ in 0..REPS {
         let mut w = SlidingWindow::new(recs.to_vec(), window, stride);
-        let mut disc: Disc<D, B> =
-            Disc::with_index(DiscConfig::new(eps, tau).with_threads(threads));
+        let mut disc: Disc<D, B> = Disc::with_index(DiscConfig::new(eps, tau));
         disc.apply(&w.fill());
         peak_bytes = peak_bytes.max(disc.mem_bytes());
         let mut rep_slides = 0u32;
@@ -204,7 +198,6 @@ fn drive<const D: usize, B: SpatialBackend<D>>(
         backend: B::NAME,
         window,
         stride,
-        threads,
         cpu_util,
         slides,
         avg_slide: total / n,
@@ -222,15 +215,9 @@ fn drive<const D: usize, B: SpatialBackend<D>>(
     }
 }
 
-/// The worker widths every configuration is measured at. Width 1 is the
-/// sequential engine (the regression gate's anchor); the wide rows show
-/// what the parallel slide engine buys on this host.
-const THREAD_WIDTHS: [usize; 3] = [1, 2, 4];
-
-/// Drives all three backends over the five window/stride configurations at
-/// each worker width. The eviction microbenchmark is width-independent
-/// (bulk_remove is sequential on every backend), so it runs once per
-/// (backend, config) and is stamped onto each width's row.
+/// Drives both backends over the five window/stride configurations. The
+/// eviction microbenchmark runs once per (backend, config) and is stamped
+/// onto that row.
 fn measure_configs(scale: Scale) -> Vec<Run> {
     let prof = datasets::DTG_PROFILE;
     let base = scale.apply(prof.window);
@@ -241,31 +228,16 @@ fn measure_configs(scale: Scale) -> Vec<Run> {
         let slides = slides_for(stride).min(40);
         let n = records_needed(window, stride, slides);
         let recs = datasets::dtg_like(n, SEED);
-        let evict = [
-            evict_cost_ns::<2, disc_index::RTree<2>>(&recs, prof.eps, window, stride),
-            evict_cost_ns::<2, GridIndex<2>>(&recs, prof.eps, window, stride),
-            evict_cost_ns::<2, CurveIndex<2>>(&recs, prof.eps, window, stride),
-        ];
-        for threads in THREAD_WIDTHS {
-            runs.push(Run {
-                evict_ns_per_point: evict[0],
-                ..drive::<2, disc_index::RTree<2>>(
-                    &recs, prof.eps, prof.tau, window, stride, threads, slides,
-                )
-            });
-            runs.push(Run {
-                evict_ns_per_point: evict[1],
-                ..drive::<2, GridIndex<2>>(
-                    &recs, prof.eps, prof.tau, window, stride, threads, slides,
-                )
-            });
-            runs.push(Run {
-                evict_ns_per_point: evict[2],
-                ..drive::<2, CurveIndex<2>>(
-                    &recs, prof.eps, prof.tau, window, stride, threads, slides,
-                )
-            });
-        }
+        runs.push(Run {
+            evict_ns_per_point: evict_cost_ns::<2, disc_index::RTree<2>>(
+                &recs, prof.eps, window, stride,
+            ),
+            ..drive::<2, disc_index::RTree<2>>(&recs, prof.eps, prof.tau, window, stride, slides)
+        });
+        runs.push(Run {
+            evict_ns_per_point: evict_cost_ns::<2, GridIndex<2>>(&recs, prof.eps, window, stride),
+            ..drive::<2, GridIndex<2>>(&recs, prof.eps, prof.tau, window, stride, slides)
+        });
     }
     runs
 }
@@ -279,10 +251,10 @@ pub fn fresh_summary(scale: Scale) -> String {
 /// Runs the backend ablation across window/stride sizes.
 pub fn run(scale: Scale) -> Table {
     let mut t = Table::new(
-        "Extension: R-tree vs grid vs curve backend (DTG)",
+        "Extension: R-tree vs grid backend (DTG)",
         &[
-            "backend", "window", "stride", "thr", "cpu", "slide", "p50", "p99", "collect",
-            "cluster", "adoption", "searches", "visits", "evict/pt", "peak mem", "B/pt",
+            "backend", "window", "stride", "cpu", "slide", "p50", "p99", "collect", "cluster",
+            "adoption", "searches", "visits", "evict/pt", "peak mem", "B/pt",
         ],
     );
     let runs = measure_configs(scale);
@@ -292,7 +264,6 @@ pub fn run(scale: Scale) -> Table {
             r.backend.to_string(),
             r.window.to_string(),
             r.stride.to_string(),
-            r.threads.to_string(),
             format!("{:.2}", r.cpu_util),
             fmt_duration(r.avg_slide),
             fmt_duration(Duration::from_nanos(r.latency.p50)),
@@ -330,7 +301,7 @@ fn write_json(runs: &[Run]) -> std::io::Result<std::path::PathBuf> {
         let sep = if i + 1 == runs.len() { "" } else { "," };
         writeln!(
             f,
-            "  {{\"backend\": \"{}\", \"window\": {}, \"stride\": {}, \"threads\": {}, \
+            "  {{\"backend\": \"{}\", \"window\": {}, \"stride\": {}, \
              \"cpu_util\": {:.2}, \"slides\": {}, \
              \"avg_slide_us\": {:.3}, \"avg_collect_us\": {:.3}, \"avg_cluster_us\": {:.3}, \
              \"avg_adoption_us\": {:.3}, \"searches_per_slide\": {:.1}, \
@@ -338,7 +309,6 @@ fn write_json(runs: &[Run]) -> std::io::Result<std::path::PathBuf> {
             r.backend,
             r.window,
             r.stride,
-            r.threads,
             r.cpu_util,
             r.slides,
             r.avg_slide.as_secs_f64() * 1e6,
@@ -357,8 +327,7 @@ fn write_json(runs: &[Run]) -> std::io::Result<std::path::PathBuf> {
 }
 
 /// Machine-readable headline summary at the repo root (`BENCH_disc.json`),
-/// one record per (suite, backend, window, stride, threads) with the tail
-/// latencies.
+/// one record per (suite, backend, window, stride) with the tail latencies.
 /// CI and regression tooling diff this file across commits; it deliberately
 /// lives next to the sources rather than under `out/` with the bulky
 /// per-suite reports.
@@ -390,14 +359,13 @@ fn summary_string(runs: &[Run]) -> String {
         let _ = writeln!(
             out,
             "  {{\"suite\": \"backend_ablation\", \"backend\": \"{}\", \"window\": {}, \
-             \"stride\": {}, \"threads\": {}, \"slides\": {}, \"p50_slide_us\": {:.3}, \
+             \"stride\": {}, \"slides\": {}, \"p50_slide_us\": {:.3}, \
              \"p99_slide_us\": {:.3}, \"max_slide_us\": {:.3}, \"searches_per_slide\": {:.1}, \
              \"cpu_util\": {:.2}, \"evict_ns_per_point\": {:.1}, \"peak_bytes\": {}, \
              \"bytes_per_point\": {:.1}, \"quality_ari\": {:.4}, \"noise_frac\": {:.4}}}{}",
             r.backend,
             r.window,
             r.stride,
-            r.threads,
             r.slides,
             r.latency.p50 as f64 / 1e3,
             r.latency.p99 as f64 / 1e3,
@@ -422,7 +390,7 @@ mod tests {
 
     /// Dev-loop profiling of the acceptance row (window=8000, stride=1600);
     /// run with `--ignored --nocapture` in release to iterate on eviction
-    /// cost without re-measuring the full 45-row suite.
+    /// cost without re-measuring the full 10-row suite.
     #[test]
     #[ignore]
     fn evict_profile_acceptance_row() {
@@ -430,26 +398,18 @@ mod tests {
         for _ in 0..3 {
             let r = evict_cost_ns::<2, disc_index::RTree<2>>(&recs, 0.45, 8000, 1600);
             let g = evict_cost_ns::<2, GridIndex<2>>(&recs, 0.45, 8000, 1600);
-            let c = evict_cost_ns::<2, CurveIndex<2>>(&recs, 0.45, 8000, 1600);
-            eprintln!("rtree={r:.1}ns grid={g:.1}ns curve={c:.1}ns");
+            eprintln!("rtree={r:.1}ns grid={g:.1}ns");
         }
     }
 
     #[test]
     fn small_scale_run_measures_all_backends() {
         let t = run(Scale(0.1));
-        assert_eq!(t.rows.len(), 45, "5 configs x 3 backends x 3 widths");
+        assert_eq!(t.rows.len(), 10, "5 configs x 2 backends");
         let backends: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
-        assert!(
-            backends.contains(&"rtree")
-                && backends.contains(&"grid")
-                && backends.contains(&"curve")
-        );
-        let widths: Vec<&str> = t.rows.iter().map(|r| r[3].as_str()).collect();
-        assert!(widths.contains(&"1") && widths.contains(&"2") && widths.contains(&"4"));
+        assert!(backends.contains(&"rtree") && backends.contains(&"grid"));
         let json = std::fs::read_to_string("out/backend_ablation.json").unwrap();
         assert!(json.contains("\"avg_collect_us\""));
-        assert!(json.contains("\"threads\""));
         assert!(json.contains("\"evict_ns_per_point\""));
         assert!(json.trim_start().starts_with('['));
     }
@@ -458,9 +418,8 @@ mod tests {
     fn bench_summary_has_the_headline_schema() {
         let recs = datasets::dtg_like(900, SEED);
         let runs = vec![
-            drive::<2, disc_index::RTree<2>>(&recs, 0.5, 4, 500, 100, 1, 4),
-            drive::<2, GridIndex<2>>(&recs, 0.5, 4, 500, 100, 2, 4),
-            drive::<2, CurveIndex<2>>(&recs, 0.5, 4, 500, 100, 4, 4),
+            drive::<2, disc_index::RTree<2>>(&recs, 0.5, 4, 500, 100, 4),
+            drive::<2, GridIndex<2>>(&recs, 0.5, 4, 500, 100, 4),
         ];
         let path = std::env::temp_dir().join("disc_bench_summary_test.json");
         write_bench_summary_to(&runs, &path).unwrap();
@@ -468,14 +427,11 @@ mod tests {
         assert!(summary.trim_start().starts_with('['));
         assert_eq!(
             summary.matches("\"suite\": \"backend_ablation\"").count(),
-            3
+            2
         );
         assert_eq!(summary.matches("\"backend\": \"rtree\"").count(), 1);
         assert_eq!(summary.matches("\"backend\": \"grid\"").count(), 1);
-        assert_eq!(summary.matches("\"backend\": \"curve\"").count(), 1);
-        assert_eq!(summary.matches("\"threads\": 1").count(), 1);
-        assert_eq!(summary.matches("\"threads\": 2").count(), 1);
-        assert_eq!(summary.matches("\"threads\": 4").count(), 1);
+        assert!(!summary.contains("\"threads\""));
         for key in [
             "p50_slide_us",
             "p99_slide_us",
@@ -499,7 +455,7 @@ mod tests {
     #[test]
     fn cpu_utilization_is_measured_or_cleanly_absent() {
         let recs = datasets::dtg_like(1500, SEED);
-        let r = drive::<2, GridIndex<2>>(&recs, 0.5, 4, 800, 200, 1, 3);
+        let r = drive::<2, GridIndex<2>>(&recs, 0.5, 4, 800, 200, 3);
         if proc_cpu_time().is_some() {
             // USER_HZ ticks are 10ms; a short run can round to 0, but it
             // can never exceed the machine (with slack for tick rounding).
@@ -521,7 +477,7 @@ mod tests {
     fn fresh_summary_round_trips_through_the_compare_parser() {
         let text = fresh_summary(Scale(0.05));
         let rows = crate::compare::parse_rows(&text).unwrap();
-        assert_eq!(rows.len(), 45, "5 configs x 3 backends x 3 widths");
+        assert_eq!(rows.len(), 10, "5 configs x 2 backends");
         for r in &rows {
             assert!(r.p50_us > 0.0);
             assert!(r.p50_us <= r.p99_us + 1e-6);
@@ -530,7 +486,6 @@ mod tests {
                 "{}: p99 exceeds exact max",
                 r.key()
             );
-            assert!(THREAD_WIDTHS.contains(&(r.threads as usize)), "{}", r.key());
         }
         // Identical measurements always pass their own gate.
         assert!(crate::compare::compare(&rows, &rows, 0.25).passed());

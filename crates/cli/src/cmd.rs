@@ -3,7 +3,7 @@
 use crate::Opts;
 use disc_baselines::{Dbscan, ExtraN, IncDbscan, RhoDbscan, WindowClusterer};
 use disc_core::{kdistance, Disc, DiscConfig, IndexBackend};
-use disc_index::{CurveIndex, GridIndex};
+use disc_index::GridIndex;
 use disc_telemetry::{
     chrome_trace_json, folded_stacks, JsonlProvenanceSink, JsonlSink, MemoryFootprint, PromServer,
     ProvenanceEvent, ProvenanceKind, ProvenanceSink, Recorder, Registry, SpanRecord,
@@ -18,22 +18,10 @@ pub trait DimCommand {
     fn run<const D: usize>(&self, opts: &Opts) -> Result<(), String>;
 }
 
-/// Resolves `--threads` to the worker count the engine will actually run
-/// (0 = auto = the host's available parallelism), warning once — unless
-/// `--quiet` — when the request oversubscribes the machine. Oversubscribing
-/// is allowed (it is how the exactness tests exercise real interleavings on
-/// small hosts), it just should not happen silently.
-pub(crate) fn effective_workers(opts: &Opts) -> usize {
-    let requested = opts.threads.unwrap_or_else(DiscConfig::default_threads);
-    let avail = disc_par::available_parallelism();
-    let effective = if requested == 0 { avail } else { requested };
-    if effective > avail && !opts.quiet {
-        eprintln!(
-            "note: --threads {effective} oversubscribes the host \
-             ({avail} available); output is identical, throughput may suffer"
-        );
-    }
-    effective
+/// The `--index` backend, or the usage error naming the valid ones.
+pub(crate) fn parse_index(opts: &Opts) -> Result<IndexBackend, String> {
+    IndexBackend::parse(&opts.index)
+        .ok_or_else(|| format!("unknown --index {:?} (rtree or grid)", opts.index))
 }
 
 pub(crate) fn load<const D: usize>(opts: &Opts) -> Result<Vec<Record<D>>, String> {
@@ -65,13 +53,9 @@ impl DimCommand for ClusterCmd {
         // checkpoints and WAL replay need `Disc`'s state export, which the
         // `dyn WindowClusterer` facade deliberately hides.
         if opts.checkpoint_dir.is_some() || opts.wal.is_some() {
-            let backend = IndexBackend::parse(&opts.index).ok_or_else(|| {
-                format!("unknown --index {:?} (rtree, grid, or curve)", opts.index)
-            })?;
-            return match backend {
+            return match parse_index(opts)? {
                 IndexBackend::RTree => crate::durable::run_durable::<D, disc_index::RTree<D>>(opts),
                 IndexBackend::Grid => crate::durable::run_durable::<D, GridIndex<D>>(opts),
-                IndexBackend::Curve => crate::durable::run_durable::<D, CurveIndex<D>>(opts),
             };
         }
         let eps = opts.eps.ok_or("--eps is required")?;
@@ -86,39 +70,22 @@ impl DimCommand for ClusterCmd {
             ));
         }
 
-        let backend = IndexBackend::parse(&opts.index)
-            .ok_or_else(|| format!("unknown --index {:?} (rtree, grid, or curve)", opts.index))?;
-        let workers = effective_workers(opts);
+        let backend = parse_index(opts)?;
         let mut method: Box<dyn WindowClusterer<D>> = match (opts.method.as_str(), backend) {
-            ("disc", IndexBackend::RTree) => Box::new(Disc::new(
-                DiscConfig::new(eps, tau)
-                    .with_backend(backend)
-                    .with_threads(workers),
-            )),
+            ("disc", IndexBackend::RTree) => {
+                Box::new(Disc::new(DiscConfig::new(eps, tau).with_backend(backend)))
+            }
             ("disc", IndexBackend::Grid) => Box::new(Disc::<D, GridIndex<D>>::with_index(
-                DiscConfig::new(eps, tau)
-                    .with_backend(backend)
-                    .with_threads(workers),
-            )),
-            ("disc", IndexBackend::Curve) => Box::new(Disc::<D, CurveIndex<D>>::with_index(
-                DiscConfig::new(eps, tau)
-                    .with_backend(backend)
-                    .with_threads(workers),
+                DiscConfig::new(eps, tau).with_backend(backend),
             )),
             ("incdbscan", _) => Box::new(IncDbscan::new(eps, tau)),
             ("extran", IndexBackend::RTree) => Box::new(ExtraN::new(eps, tau, window, stride)),
             ("extran", IndexBackend::Grid) => Box::new(ExtraN::<D, GridIndex<D>>::with_backend(
                 eps, tau, window, stride,
             )),
-            ("extran", IndexBackend::Curve) => Box::new(ExtraN::<D, CurveIndex<D>>::with_backend(
-                eps, tau, window, stride,
-            )),
             ("dbscan", IndexBackend::RTree) => Box::new(Dbscan::new(eps, tau)),
             ("dbscan", IndexBackend::Grid) => {
                 Box::new(Dbscan::<D, GridIndex<D>>::with_backend(eps, tau))
-            }
-            ("dbscan", IndexBackend::Curve) => {
-                Box::new(Dbscan::<D, CurveIndex<D>>::with_backend(eps, tau))
             }
             ("rho2", _) => Box::new(RhoDbscan::new(eps, tau, opts.rho)),
             (other, _) => return Err(format!("unknown --method {other:?}")),
@@ -200,7 +167,7 @@ impl DimCommand for ClusterCmd {
         }
         let mut slides = 0u64;
         if opts.stats_every == 1 {
-            stats_summary(&registry, 1, workers, health.as_ref().map(|h| h.summary()));
+            stats_summary(&registry, 1, health.as_ref().map(|h| h.summary()));
         }
         while let Some(batch) = w.advance() {
             method.apply(&batch);
@@ -215,12 +182,7 @@ impl DimCommand for ClusterCmd {
             }
             // The fill counts as slide 1, so the human cadence is 1-based.
             if opts.stats_every > 0 && (slides + 1).is_multiple_of(opts.stats_every) {
-                stats_summary(
-                    &registry,
-                    slides + 1,
-                    workers,
-                    health.as_ref().map(|h| h.summary()),
-                );
+                stats_summary(&registry, slides + 1, health.as_ref().map(|h| h.summary()));
             }
             if !opts.quiet {
                 let clusters: std::collections::HashSet<i64> = method
@@ -424,12 +386,7 @@ fn narrate(kind: &ProvenanceKind) -> String {
 /// rather than per ex-core (`ex_classes / ex_cores`, lower is better), and
 /// epoch-based probing (Alg. 4) skips index subtrees whole (`pruned /
 /// (visited + pruned)`, higher is better).
-pub(crate) fn stats_summary(
-    registry: &Registry,
-    slide: u64,
-    workers: usize,
-    health: Option<String>,
-) {
+pub(crate) fn stats_summary(registry: &Registry, slide: u64, health: Option<String>) {
     let lat = registry
         .histogram_snapshot("disc_slide_seconds")
         .unwrap_or_default();
@@ -459,7 +416,7 @@ pub(crate) fn stats_summary(
         None => String::new(),
     };
     eprintln!(
-        "stats @ slide {slide}: workers {workers} | \
+        "stats @ slide {slide}: \
          latency p50 {:?} p99 {:?} max {:?} | \
          range searches {} (epoch probes {}) | \
          theorem-1 savings {ex_classes}/{ex_cores} = {} | epoch-prune ratio {} | \

@@ -11,7 +11,7 @@
 use crate::cmd::DimCommand;
 use crate::Opts;
 use disc_core::{backend_of, Disc, DiscConfig, IndexBackend};
-use disc_index::{CurveIndex, GridIndex, RTree, SpatialBackend};
+use disc_index::{GridIndex, RTree, SpatialBackend};
 use disc_persist::{
     checkpoint_path, latest_checkpoint_seq, load_checkpoint, metrics, recover_engine,
     save_checkpoint, Checkpoint, DriverState, FsyncPolicy, WalWriter,
@@ -110,7 +110,6 @@ fn drain_stream<const D: usize, B: SpatialBackend<D>>(
     opts: &Opts,
 ) -> Result<(), String> {
     let every = opts.checkpoint_every.max(1);
-    let workers = crate::cmd::effective_workers(opts);
     let started = std::time::Instant::now();
     while let Some(batch) = w.advance() {
         append_then_apply(&mut disc, &mut wal, &batch, registry)?;
@@ -128,7 +127,6 @@ fn drain_stream<const D: usize, B: SpatialBackend<D>>(
             crate::cmd::stats_summary(
                 registry,
                 disc.slide_seq(),
-                workers,
                 health.as_ref().map(|h| h.summary()),
             );
         }
@@ -204,8 +202,7 @@ pub fn run_durable<const D: usize, B: SpatialBackend<D>>(opts: &Opts) -> Result<
             records.len()
         ));
     }
-    let backend = IndexBackend::parse(&opts.index)
-        .ok_or_else(|| format!("unknown --index {:?} (rtree, grid, or curve)", opts.index))?;
+    let backend = crate::cmd::parse_index(opts)?;
 
     let mut health = crate::health::Health::<D>::from_opts(opts, eps, tau)?;
     let mut registry = registry_from(opts)?;
@@ -213,11 +210,7 @@ pub fn run_durable<const D: usize, B: SpatialBackend<D>>(opts: &Opts) -> Result<
         registry = registry.with_provenance(h.provenance_tee(None));
     }
     let registry = Arc::new(registry);
-    let mut disc: Disc<D, B> = Disc::with_index(
-        DiscConfig::new(eps, tau)
-            .with_backend(backend)
-            .with_threads(crate::cmd::effective_workers(opts)),
-    );
+    let mut disc: Disc<D, B> = Disc::with_index(DiscConfig::new(eps, tau).with_backend(backend));
     disc.set_recorder(registry.clone());
     let mut wal = match &opts.wal {
         Some(path) => Some(
@@ -261,7 +254,6 @@ impl DimCommand for ResumeCmd {
         match backend_of(&ckpt.state) {
             IndexBackend::RTree => resume_with::<D, RTree<D>>(opts),
             IndexBackend::Grid => resume_with::<D, GridIndex<D>>(opts),
-            IndexBackend::Curve => resume_with::<D, CurveIndex<D>>(opts),
         }
     }
 }
@@ -278,9 +270,6 @@ fn resume_with<const D: usize, B: SpatialBackend<D>>(opts: &Opts) -> Result<(), 
         registry = registry.with_provenance(h.provenance_tee(None));
     }
     let registry = Arc::new(registry);
-    // Worker width is deliberately not part of the checkpoint image, so a
-    // run checkpointed on one machine can resume at another's width.
-    disc.set_threads(crate::cmd::effective_workers(opts));
     disc.set_recorder(registry.clone());
     metrics::publish_recovery(&*registry, &report);
     println!(

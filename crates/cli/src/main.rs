@@ -35,7 +35,7 @@ const USAGE: &str = "\
 usage:
   disc cluster  --input F --dim D --eps X --tau N --window W --stride S
                 [--method disc|incdbscan|extran|dbscan|rho2] [--rho X]
-                [--index rtree|grid|curve] [--threads N] [--out F] [--quiet]
+                [--index rtree|grid] [--threads 1] [--out F] [--quiet]
                 [--metrics-out F.jsonl] [--prom-addr HOST:PORT]
                 [--stats-every N]
                 [--trace-out F.json] [--folded-out F.txt]
@@ -50,7 +50,7 @@ usage:
                 [--shed HIGH:LOW] [--ingest-journal F] [--ingest-out F.jsonl]
                 (`disc run` is an alias for `disc cluster`)
   disc resume   --checkpoint-dir DIR --input F [--dim D] [--wal F]
-                [--threads N] [--out F] [--quiet] [health flags as above]
+                [--threads 1] [--out F] [--quiet] [health flags as above]
                 [--timed + ingest flags as above]
   disc diffsnap --a F --b F [--dim D]
   disc explain  --trace F.jsonl [--slide N]
@@ -94,10 +94,6 @@ pub struct Opts {
     pub stride: Option<usize>,
     pub method: String,
     pub index: String,
-    /// Worker threads for the DISC slide engine (`--threads`, 0 = auto).
-    /// `None` leaves the engine on its default (the `DISC_THREADS` env
-    /// var, else sequential). Output is bit-identical at every width.
-    pub threads: Option<usize>,
     pub rho: f64,
     pub dataset: Option<String>,
     pub n: usize,
@@ -191,7 +187,6 @@ impl Opts {
             stride: None,
             method: "disc".to_string(),
             index: "rtree".to_string(),
-            threads: None,
             rho: 0.001,
             dataset: None,
             n: 10_000,
@@ -252,7 +247,16 @@ impl Opts {
                 "--stride" => o.stride = Some(parse_num(flag, &value()?)?),
                 "--method" => o.method = value()?,
                 "--index" => o.index = value()?,
-                "--threads" => o.threads = Some(parse_num(flag, &value()?)?),
+                // The engine is sequential; `--threads 1` still parses so
+                // scripts that state the width keep working.
+                "--threads" => {
+                    let n: usize = parse_num(flag, &value()?)?;
+                    if n != 1 {
+                        return Err(format!(
+                            "--threads {n}: the engine is sequential; only --threads 1 is accepted"
+                        ));
+                    }
+                }
                 "--rho" => o.rho = parse_num(flag, &value()?)?,
                 "--dataset" => o.dataset = Some(value()?),
                 "--n" => o.n = parse_num(flag, &value()?)?,
@@ -362,12 +366,14 @@ mod tests {
         // The durable branch resolves the backend before touching the
         // input, so the error is reachable without a stream on disk.
         use cmd::DimCommand;
-        let o = parse(&["--index", "kdtree", "--checkpoint-dir", "/tmp/unused"]).unwrap();
-        let err = cmd::ClusterCmd.run::<2>(&o).unwrap_err();
-        assert!(
-            err.contains("rtree, grid, or curve"),
-            "error must name every backend: {err}"
-        );
+        for index in ["kdtree", "curve"] {
+            let o = parse(&["--index", index, "--checkpoint-dir", "/tmp/unused"]).unwrap();
+            let err = cmd::ClusterCmd.run::<2>(&o).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown --index {index:?} (rtree or grid)")),
+                "error must name every backend: {err}"
+            );
+        }
     }
 
     #[test]
@@ -392,63 +398,24 @@ mod tests {
 
     #[test]
     fn threads_flag_parses() {
-        assert_eq!(parse(&[]).unwrap().threads, None);
-        assert_eq!(parse(&["--threads", "4"]).unwrap().threads, Some(4));
-        // 0 is the documented "auto" sentinel, not an error.
-        assert_eq!(parse(&["--threads", "0"]).unwrap().threads, Some(0));
+        // Only the sequential width is accepted; it parses on every
+        // command that runs the engine.
+        assert!(parse(&["--threads", "1"]).is_ok());
+        for n in ["0", "2", "4"] {
+            let err = parse(&["--threads", n]).err().unwrap();
+            assert!(
+                err.contains("the engine is sequential"),
+                "--threads {n}: {err}"
+            );
+        }
         assert!(parse(&["--threads", "-1"]).is_err());
         assert!(parse(&["--threads", "many"]).is_err());
-    }
-
-    /// The tentpole's user-facing guarantee: the same stream clustered at
-    /// width 1 and width 4 produces the identical partition. `diffsnap`
-    /// is the certifier, as in the crash-recovery walkthrough.
-    #[test]
-    fn threads_do_not_change_the_partition() {
-        let dir = std::env::temp_dir().join("disc_cli_threads_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("stream.csv");
-        let seq = dir.join("seq.csv");
-        let wide = dir.join("wide.csv");
-        run_strs(&[
-            "generate",
-            "--dataset",
-            "blobs",
-            "--n",
-            "600",
-            "--out",
-            data.to_str().unwrap(),
-        ])
-        .unwrap();
-        for (threads, out) in [("1", &seq), ("4", &wide)] {
-            run_strs(&[
-                "cluster",
-                "--input",
-                data.to_str().unwrap(),
-                "--eps",
-                "1.0",
-                "--tau",
-                "4",
-                "--window",
-                "300",
-                "--stride",
-                "100",
-                "--quiet",
-                "--threads",
-                threads,
-                "--out",
-                out.to_str().unwrap(),
-            ])
-            .unwrap();
+        for command in ["cluster", "run", "resume"] {
+            let err = run_strs(&[command, "--threads", "1"]).unwrap_err();
+            assert!(!err.contains("--threads"), "{command}: {err}");
+            let err = run_strs(&[command, "--threads", "2"]).unwrap_err();
+            assert!(err.contains("the engine is sequential"), "{command}: {err}");
         }
-        run_strs(&[
-            "diffsnap",
-            "--a",
-            seq.to_str().unwrap(),
-            "--b",
-            wide.to_str().unwrap(),
-        ])
-        .unwrap();
     }
 
     #[test]

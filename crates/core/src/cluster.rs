@@ -33,21 +33,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
 
-        // Every member this phase ever scans is an ex-core, and Theorem 1
-        // guarantees each is scanned exactly once — so the phase's entire
-        // ball workload is known up front. When the engine is wide,
-        // prefetch all of it in parallel over the frozen index (ghosts
-        // included; they leave only after this phase). `scan_ball` runs the
-        // same traversal as `for_each_in_ball`, so each prefetched ball
-        // preserves the exact hit order the sequential path sees — which
-        // the M⁻ ordering (and with it MS-BFS slot assignment) depends on.
-        let mut prefetched: disc_geom::FxHashMap<PointId, Vec<PointId>> =
-            if self.pool.width() > 1 && !ex_cores.is_empty() {
-                self.par_prefetch_balls(ex_cores)
-            } else {
-                disc_geom::FxHashMap::default()
-            };
-
         let mut remaining: FxHashSet<PointId> = ex_cores.iter().copied().collect();
         // Buffers reused across classes.
         let mut r_minus: Vec<PointId> = Vec::new();
@@ -83,23 +68,16 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 i += 1;
                 let center = self.points.point_at(r);
 
-                let owned: Vec<PointId>;
-                let ball: &[PointId] = if let Some(b) = prefetched.remove(&r) {
-                    owned = b;
-                    &owned
-                } else {
-                    ball_buf.clear();
-                    let buf = &mut ball_buf;
-                    self.tree
-                        .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
-                    &ball_buf
-                };
+                ball_buf.clear();
+                let buf = &mut ball_buf;
+                self.tree
+                    .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
 
                 // The scan doubles as label maintenance for the ex-core
                 // itself: any current core in range can adopt it.
                 let mut my_adopter: Option<PointId> = None;
                 discovered_ex.clear();
-                for &qid in ball {
+                for &qid in &ball_buf {
                     if qid == r {
                         continue;
                     }
@@ -299,17 +277,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
 
-        // Mirror image of the ex-core phase's prefetch: every member is a
-        // neo-core and each is scanned once, so the whole workload is known
-        // up front. Prefetched here (not earlier) because the ghosts left
-        // the index between the phases; per-ball hit order is preserved.
-        let mut prefetched: disc_geom::FxHashMap<PointId, Vec<PointId>> =
-            if self.pool.width() > 1 && !neo_cores.is_empty() {
-                self.par_prefetch_balls(neo_cores)
-            } else {
-                disc_geom::FxHashMap::default()
-            };
-
         let mut remaining: FxHashSet<PointId> = neo_cores.iter().copied().collect();
         let mut r_plus: Vec<PointId> = Vec::new();
         let mut m_cids: Vec<u32> = Vec::new();
@@ -340,20 +307,13 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 i += 1;
                 let center = self.points.point_at(r);
 
-                let owned: Vec<PointId>;
-                let ball: &[PointId] = if let Some(b) = prefetched.remove(&r) {
-                    owned = b;
-                    &owned
-                } else {
-                    ball_buf.clear();
-                    let buf = &mut ball_buf;
-                    self.tree
-                        .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
-                    &ball_buf
-                };
+                ball_buf.clear();
+                let buf = &mut ball_buf;
+                self.tree
+                    .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
 
                 discovered_neo.clear();
-                for &qid in ball {
+                for &qid in &ball_buf {
                     if qid == r {
                         continue;
                     }
@@ -440,36 +400,22 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // pinning it keeps the provenance stream identical across runs.
         pending.sort_unstable();
         // Skip-checks are stable for the same reason, so they can run up
-        // front: the survivors are exactly the points the inline sequential
-        // check would search.
+        // front.
         pending.retain(|&id| {
             self.points
                 .get(id) // departed this slide → gone
                 .is_some_and(|rec| !rec.is_core(tau) && rec.adopter.is_none() && rec.in_window)
         });
-        let mut prefetched: disc_geom::FxHashMap<PointId, Vec<PointId>> =
-            if self.pool.width() > 1 && !pending.is_empty() {
-                self.par_prefetch_balls(&pending)
-            } else {
-                disc_geom::FxHashMap::default()
-            };
         let mut ball_buf: Vec<PointId> = Vec::new();
         for id in pending {
             let center = self.points.point_at(id);
             stats.adoption_searches += 1;
-            let owned: Vec<PointId>;
-            let ball: &[PointId] = if let Some(b) = prefetched.remove(&id) {
-                owned = b;
-                &owned
-            } else {
-                ball_buf.clear();
-                let buf = &mut ball_buf;
-                self.tree
-                    .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
-                &ball_buf
-            };
+            ball_buf.clear();
+            let buf = &mut ball_buf;
+            self.tree
+                .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
             let mut adopter: Option<PointId> = None;
-            for &qid in ball {
+            for &qid in &ball_buf {
                 if qid != id && adopter.is_none_or(|a| qid < a) {
                     if let Some(q) = self.points.get(qid) {
                         if q.is_core(tau) {

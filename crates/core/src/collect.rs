@@ -66,10 +66,10 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // Departed ex-cores first (they are no longer in `touched`).
         out.ex_cores.extend(out.ghosts.iter().copied());
         // Canonical order: `touched` is a hash set whose iteration order is
-        // an artifact of insertion history, which the parallel gather path
-        // changes. Sorting pins the classification order — and with it every
-        // downstream seed order and cluster-id allocation — to the point ids
-        // alone, so sequential and parallel slides emit identical output.
+        // an artifact of insertion history, which each backend's traversal
+        // order changes. Sorting pins the classification order — and with it
+        // every downstream seed order and cluster-id allocation — to the
+        // point ids alone, so every backend emits identical output.
         let mut touched: Vec<PointId> = self.touched.iter().copied().collect();
         touched.sort_unstable();
         for id in &touched {
@@ -233,48 +233,25 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             centers.push(rec.point);
         }
 
-        if self.pool.width() > 1 {
-            // Wide path: gather raw hits over a frozen snapshot, replay the
-            // effects sequentially. Every effect here is commutative across
-            // hits (decrement, set insert, single-match adopter
-            // invalidation), so the chunked hit order is equivalent to the
-            // single bulk traversal's.
-            for (ci, qid) in self.par_ball_hits(&centers) {
-                if outgoing.contains(&qid) {
-                    continue;
-                }
-                if let Some(q) = self.points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps -= 1;
-                        self.touched.insert(qid);
-                        if q.adopter == Some(ids[ci as usize]) {
-                            q.adopter = None;
-                            self.needs_adoption.insert(qid);
-                        }
+        let points = &mut self.points;
+        let touched = &mut self.touched;
+        let needs_adoption = &mut self.needs_adoption;
+        self.tree.for_each_in_balls(&centers, eps, |ci, qid, _| {
+            // Skips the center itself and every fellow departure.
+            if outgoing.contains(&qid) {
+                return;
+            }
+            if let Some(q) = points.get_mut(qid) {
+                if q.in_window {
+                    q.n_eps -= 1;
+                    touched.insert(qid);
+                    if q.adopter == Some(ids[ci]) {
+                        q.adopter = None;
+                        needs_adoption.insert(qid);
                     }
                 }
             }
-        } else {
-            let points = &mut self.points;
-            let touched = &mut self.touched;
-            let needs_adoption = &mut self.needs_adoption;
-            self.tree.for_each_in_balls(&centers, eps, |ci, qid, _| {
-                // Skips the center itself and every fellow departure.
-                if outgoing.contains(&qid) {
-                    return;
-                }
-                if let Some(q) = points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps -= 1;
-                        touched.insert(qid);
-                        if q.adopter == Some(ids[ci]) {
-                            q.adopter = None;
-                            needs_adoption.insert(qid);
-                        }
-                    }
-                }
-            });
-        }
+        });
 
         // Retire the records, then sync the tree with one bulk removal.
         // Departed ex-cores keep their entries (C_out ghosts).
@@ -338,48 +315,26 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let mut gained = vec![0u32; centers.len()];
         let mut hits: Vec<(u32, PointId)> = Vec::new();
         let mut intra: Vec<(u32, u32)> = Vec::new();
-        if self.pool.width() > 1 {
-            // Wide path: gather over the frozen post-insert snapshot, then
-            // replay. All effects are commutative and the adopter choice
-            // below runs on settled counts, so hit order is immaterial.
-            for (ci, qid) in self.par_ball_hits(&centers) {
-                if let Some(&qi) = center_of.get(&qid) {
-                    if ci < qi {
-                        intra.push((ci, qi));
-                    }
-                    continue;
+        let points = &mut self.points;
+        let touched = &mut self.touched;
+        self.tree.for_each_in_balls(&centers, eps, |ci, qid, _| {
+            if let Some(&qi) = center_of.get(&qid) {
+                // Δin-Δin pair: record one orientation, apply both ends
+                // later. `qi == ci` is the center finding itself.
+                if (ci as u32) < qi {
+                    intra.push((ci as u32, qi));
                 }
-                if let Some(q) = self.points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps += 1;
-                        gained[ci as usize] += 1;
-                        self.touched.insert(qid);
-                        hits.push((ci, qid));
-                    }
+                return;
+            }
+            if let Some(q) = points.get_mut(qid) {
+                if q.in_window {
+                    q.n_eps += 1;
+                    gained[ci] += 1;
+                    touched.insert(qid);
+                    hits.push((ci as u32, qid));
                 }
             }
-        } else {
-            let points = &mut self.points;
-            let touched = &mut self.touched;
-            self.tree.for_each_in_balls(&centers, eps, |ci, qid, _| {
-                if let Some(&qi) = center_of.get(&qid) {
-                    // Δin-Δin pair: record one orientation, apply both ends
-                    // later. `qi == ci` is the center finding itself.
-                    if (ci as u32) < qi {
-                        intra.push((ci as u32, qi));
-                    }
-                    return;
-                }
-                if let Some(q) = points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps += 1;
-                        gained[ci] += 1;
-                        touched.insert(qid);
-                        hits.push((ci as u32, qid));
-                    }
-                }
-            });
-        }
+        });
         for (a, b) in intra {
             gained[a as usize] += 1;
             gained[b as usize] += 1;

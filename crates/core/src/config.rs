@@ -15,18 +15,14 @@ pub enum IndexBackend {
     RTree,
     /// The ε-aligned uniform grid ([`disc_index::GridIndex`]).
     Grid,
-    /// The Morton-curve-sorted flat array ([`disc_index::CurveIndex`]).
-    Curve,
 }
 
 impl IndexBackend {
-    /// Short name matching `SpatialBackend::NAME` (`"rtree"`, `"grid"`,
-    /// `"curve"`).
+    /// Short name matching `SpatialBackend::NAME` (`"rtree"`, `"grid"`).
     pub fn name(self) -> &'static str {
         match self {
             IndexBackend::RTree => "rtree",
             IndexBackend::Grid => "grid",
-            IndexBackend::Curve => "curve",
         }
     }
 
@@ -35,14 +31,12 @@ impl IndexBackend {
         match s {
             "rtree" => Some(IndexBackend::RTree),
             "grid" => Some(IndexBackend::Grid),
-            "curve" => Some(IndexBackend::Curve),
             _ => None,
         }
     }
 
     /// Every selectable backend, in the order docs/benches list them.
-    pub const ALL: [IndexBackend; 3] =
-        [IndexBackend::RTree, IndexBackend::Grid, IndexBackend::Curve];
+    pub const ALL: [IndexBackend; 2] = [IndexBackend::RTree, IndexBackend::Grid];
 }
 
 impl std::fmt::Display for IndexBackend {
@@ -80,19 +74,6 @@ pub struct DiscConfig {
     /// Which index backend drivers should instantiate the engine over (see
     /// [`IndexBackend`]). Purely declarative for the engine itself.
     pub backend: IndexBackend,
-    /// Worker count for the parallel slide engine. `0` means "auto": resolve
-    /// to the machine's available parallelism at use time. `1` (the default)
-    /// runs the exact sequential code path; any resolved value above 1 takes
-    /// the parallel path, whose output is bit-identical to sequential for
-    /// every thread count (see `DESIGN.md` §12).
-    ///
-    /// This is a *host-execution* knob, not an algorithm parameter: it is
-    /// deliberately **not** persisted in checkpoints and does not affect any
-    /// clustering output. [`DiscConfig::new`] seeds it from the
-    /// `DISC_THREADS` environment variable when set (see
-    /// [`default_threads`](DiscConfig::default_threads)), which is how CI
-    /// runs the whole suite wide without per-test plumbing.
-    pub threads: usize,
 }
 
 impl DiscConfig {
@@ -107,33 +88,6 @@ impl DiscConfig {
             enable_epoch_probe: true,
             enable_bulk_slide: true,
             backend: IndexBackend::default(),
-            threads: Self::default_threads(),
-        }
-    }
-
-    /// The ambient default for [`threads`](DiscConfig::threads): the value
-    /// of the `DISC_THREADS` environment variable if set and parseable
-    /// (`0` = auto), else `1` (sequential). Read once per process and
-    /// cached, so a stable environment yields a stable default — checkpoint
-    /// decoding relies on this to keep config round-trips exact without
-    /// persisting a host-execution knob.
-    pub fn default_threads() -> usize {
-        static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        *DEFAULT.get_or_init(|| {
-            std::env::var("DISC_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(1)
-        })
-    }
-
-    /// Resolves [`threads`](DiscConfig::threads) to a concrete worker
-    /// count: `0` becomes the machine's available parallelism.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            disc_par::available_parallelism()
-        } else {
-            self.threads
         }
     }
 
@@ -161,10 +115,18 @@ impl DiscConfig {
         self
     }
 
-    /// Sets the worker count (`0` = auto, `1` = sequential, `n` = `n`-wide
-    /// parallel slide engine). Output is identical for every value.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Compatibility shim for callers that still state a worker count:
+    /// the engine is sequential, so only `1` is accepted and nothing is
+    /// stored.
+    ///
+    /// # Panics
+    ///
+    /// If `threads` is not 1.
+    pub fn with_threads(self, threads: usize) -> Self {
+        assert_eq!(
+            threads, 1,
+            "the engine is sequential; only 1 thread is supported"
+        );
         self
     }
 }
@@ -196,21 +158,21 @@ mod tests {
             assert_eq!(IndexBackend::parse(b.name()), Some(b));
             assert_eq!(b.to_string(), b.name());
         }
-        assert_eq!(IndexBackend::ALL.len(), 3);
+        assert_eq!(IndexBackend::ALL.len(), 2);
+        assert_eq!(IndexBackend::parse("curve"), None);
         assert_eq!(IndexBackend::parse("kdtree"), None);
     }
 
     #[test]
-    fn threads_builder_and_resolution() {
+    fn with_threads_accepts_only_one() {
         let c = DiscConfig::new(0.5, 4);
-        // The ambient default is stable within a process.
-        assert_eq!(c.threads, DiscConfig::default_threads());
-        let c = c.with_threads(4);
-        assert_eq!(c.threads, 4);
-        assert_eq!(c.effective_threads(), 4);
-        let c = c.with_threads(0);
-        // Auto resolves to whatever the host offers, never zero.
-        assert!(c.effective_threads() >= 1);
+        assert_eq!(c.with_threads(1), c);
+    }
+
+    #[test]
+    #[should_panic(expected = "the engine is sequential")]
+    fn with_threads_rejects_wider() {
+        let _ = DiscConfig::new(0.5, 4).with_threads(2);
     }
 
     #[test]

@@ -113,12 +113,6 @@ pub struct Disc<const D: usize, B: SpatialBackend<D> = RTree<D>> {
     pub(crate) prov: Vec<disc_telemetry::ProvenanceEvent>,
     /// Whether the current slide buffers provenance (recorder enabled).
     pub(crate) prov_on: bool,
-    /// Worker pool for the parallel slide engine, sized from
-    /// `cfg.effective_threads()` at construction. Width 1 (the default)
-    /// keeps every phase on the exact sequential code path; any wider and
-    /// the read-only scan phases fan out while all state mutation stays
-    /// sequential — output is bit-identical either way (DESIGN.md §12).
-    pub(crate) pool: disc_par::Pool,
 }
 
 impl<const D: usize> Disc<D> {
@@ -135,7 +129,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// Creates an engine with an empty window over backend `B`. The backend
     /// is constructed with the configured ε as its sizing hint.
     pub fn with_index(cfg: DiscConfig) -> Self {
-        let pool = disc_par::Pool::new(cfg.effective_threads());
         Disc {
             cfg,
             points: PointStore::new(),
@@ -150,99 +143,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             tracer: disc_telemetry::Tracer::disabled(),
             prov: Vec::new(),
             prov_on: false,
-            pool,
         }
-    }
-
-    /// The effective worker count of this engine (resolved from
-    /// [`DiscConfig::threads`]; 1 = sequential).
-    pub fn worker_width(&self) -> usize {
-        self.pool.width()
-    }
-
-    /// Re-targets the worker pool (0 = auto). Safe at any slide boundary:
-    /// the width is a host-execution knob that never reaches the
-    /// clustering state, so a checkpointed run can resume at a different
-    /// width — `disc resume --threads N` — and stay exact.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads;
-        self.pool = disc_par::Pool::new(self.cfg.effective_threads());
-    }
-
-    /// Scans `centers`' ε-balls in parallel over fixed-size chunks of the
-    /// frozen index snapshot and returns the raw hits as `(center index,
-    /// id)` pairs, concatenated in chunk order. Per-task index counters are
-    /// merged back in task order, so the totals are independent of worker
-    /// count. The chunk size is a constant (not derived from the width) so
-    /// the chunk boundaries — and with them every per-chunk counter — are
-    /// thread-count-invariant.
-    ///
-    /// Callers replay the returned hits sequentially; every COLLECT effect
-    /// is commutative across hits (counts, set inserts, min-id adopter
-    /// selection), so chunked hit order is as good as the single bulk
-    /// traversal's.
-    pub(crate) fn par_ball_hits(&mut self, centers: &[Point<D>]) -> Vec<(u32, PointId)> {
-        const CHUNK: usize = 256;
-        let eps = self.cfg.eps;
-        let n_chunks = centers.len().div_ceil(CHUNK);
-        let tree = &self.tree;
-        let tasks = self.pool.run(n_chunks, |c| {
-            let base = c * CHUNK;
-            let slice = &centers[base..(base + CHUNK).min(centers.len())];
-            let mut hits: Vec<(u32, PointId)> = Vec::new();
-            let mut stats = disc_index::Stats::default();
-            tree.scan_balls(
-                slice,
-                eps,
-                |ci, qid, _| hits.push(((base + ci) as u32, qid)),
-                &mut stats,
-            );
-            (hits, stats)
-        });
-        let mut all: Vec<(u32, PointId)> = Vec::new();
-        for (hits, stats) in tasks {
-            self.tree.stats_mut().merge(&stats);
-            all.extend(hits);
-        }
-        all
-    }
-
-    /// Scans one ε-ball per listed point in parallel and returns each ball's
-    /// ids in a map, preserving the index's per-ball traversal order (each
-    /// ball is scanned by `scan_ball`, the same traversal
-    /// `for_each_in_ball` runs). Used by the cluster phases, whose
-    /// bit-identical replay depends on within-ball order. Counters merge
-    /// back in task order.
-    pub(crate) fn par_prefetch_balls(
-        &mut self,
-        ids: &[PointId],
-    ) -> FxHashMap<PointId, Vec<PointId>> {
-        const CHUNK: usize = 64;
-        let eps = self.cfg.eps;
-        let n_chunks = ids.len().div_ceil(CHUNK);
-        let tree = &self.tree;
-        let points = &self.points;
-        let tasks = self.pool.run(n_chunks, |c| {
-            let base = c * CHUNK;
-            let slice = &ids[base..(base + CHUNK).min(ids.len())];
-            let mut balls: Vec<(PointId, Vec<PointId>)> = Vec::with_capacity(slice.len());
-            let mut stats = disc_index::Stats::default();
-            for &id in slice {
-                let center = points.point_at(id);
-                let mut ball: Vec<PointId> = Vec::new();
-                tree.scan_ball(&center, eps, |qid, _| ball.push(qid), &mut stats);
-                balls.push((id, ball));
-            }
-            (balls, stats)
-        });
-        let mut map: FxHashMap<PointId, Vec<PointId>> = FxHashMap::default();
-        for (balls, stats) in tasks {
-            self.tree.stats_mut().merge(&stats);
-            for (id, ball) in balls {
-                map.insert(id, ball);
-            }
-        }
-        map
     }
 
     /// Builder-style [`set_recorder`](Disc::set_recorder).
@@ -305,7 +206,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         &self.cfg
     }
 
-    /// The backend's short name (`"rtree"`, `"grid"`, `"curve"`).
+    /// The backend's short name (`"rtree"` or `"grid"`).
     pub fn backend_name(&self) -> &'static str {
         B::NAME
     }
@@ -651,8 +552,7 @@ impl<const D: usize, B: SpatialBackend<D>> disc_telemetry::MemoryFootprint for D
     /// Engine-state heap bytes, decomposed into the components the
     /// `disc_mem_bytes{component=...}` gauges publish: point store, spatial
     /// index, cluster DSU, the per-slide bookkeeping sets, and the memoised
-    /// root cache. Thread-pool stacks and transient slide scratch are out of
-    /// scope — this accounts for what the window *retains*.
+    /// root cache. Transient slide scratch is out of scope — this accounts for what the window *retains*.
     fn footprint(&self) -> disc_telemetry::FootprintNode {
         use disc_telemetry::{map_bytes, FootprintNode};
         let set_entry = std::mem::size_of::<(PointId, ())>();
@@ -1145,23 +1045,5 @@ mod tests {
         assert_eq!(rtree.assignments(), grid.assignments());
         assert_eq!(rtree.num_clusters(), grid.num_clusters());
         grid.check_invariants();
-    }
-
-    #[test]
-    fn curve_backend_clusters_like_the_default() {
-        let pts: Vec<(u64, [f64; 2])> = (0..12)
-            .map(|i| (i, [(i % 4) as f64 * 0.5, (i / 4) as f64 * 0.5]))
-            .chain((20..24).map(|i| (i, [50.0 + (i % 4) as f64 * 0.5, 0.0])))
-            .collect();
-        let b = batch(&pts, &[]);
-        let mut rtree: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
-        let mut curve: Disc<2, disc_index::CurveIndex<2>> =
-            Disc::with_index(DiscConfig::new(1.0, 3));
-        assert_eq!(curve.backend_name(), "curve");
-        rtree.apply(&b);
-        curve.apply(&b);
-        assert_eq!(rtree.assignments(), curve.assignments());
-        assert_eq!(rtree.num_clusters(), curve.num_clusters());
-        curve.check_invariants();
     }
 }

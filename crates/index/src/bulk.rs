@@ -423,17 +423,15 @@ impl<const D: usize> RTree<D> {
         eps: f64,
         f: impl FnMut(usize, PointId, &Point<D>),
     ) {
-        let mut stats = *self.stats();
+        let mut stats = self.stats;
         self.scan_balls(centers, eps, f, &mut stats);
-        *self.stats_mut() = stats;
+        self.stats = stats;
     }
 
-    /// Read-only flavour of [`for_each_in_balls`](Self::for_each_in_balls)
-    /// with caller-supplied counters: the multi-center walk only reads the
-    /// node arena, so the parallel COLLECT path can partition a slide's
-    /// centers into chunks and run one `scan_balls` per worker on a shared
-    /// `&self`, merging the per-worker [`Stats`] in chunk order afterwards.
-    pub fn scan_balls(
+    /// The traversal behind [`for_each_in_balls`](Self::for_each_in_balls):
+    /// the multi-center walk reads only the node arena, so the counters go
+    /// into a separate `stats` while `f` is running.
+    fn scan_balls(
         &self,
         centers: &[Point<D>],
         eps: f64,

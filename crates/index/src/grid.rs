@@ -121,12 +121,6 @@ impl<const D: usize> GridIndex<D> {
         self.stats.reset();
     }
 
-    /// Mutable access to the operation counters: the parallel engine merges
-    /// per-worker [`Stats`] deltas back here after a read-only scan phase.
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
     /// Integer cell coordinates of `point`.
     #[inline]
     fn key_of(&self, point: &Point<D>) -> [i64; D] {
@@ -282,10 +276,10 @@ impl<const D: usize> GridIndex<D> {
         self.stats = stats;
     }
 
-    /// Read-only flavour of [`for_each_in_ball`](Self::for_each_in_ball)
-    /// with caller-supplied counters; shareable across workers on `&self`
-    /// (see the R-tree counterpart for the parallel-engine contract).
-    pub fn scan_ball(
+    /// The traversal behind [`for_each_in_ball`](Self::for_each_in_ball):
+    /// it reads only the cells, so the counters go into a separate `stats`
+    /// while `f` is running.
+    fn scan_ball(
         &self,
         center: &Point<D>,
         eps: f64,
@@ -347,10 +341,9 @@ impl<const D: usize> GridIndex<D> {
         self.stats = stats;
     }
 
-    /// Read-only flavour of [`for_each_in_balls`](Self::for_each_in_balls)
-    /// with caller-supplied counters; shareable across workers on `&self`
-    /// (see the R-tree counterpart for the parallel-engine contract).
-    pub fn scan_balls(
+    /// The traversal behind [`for_each_in_balls`](Self::for_each_in_balls);
+    /// see [`scan_ball`](Self::scan_ball).
+    fn scan_balls(
         &self,
         centers: &[Point<D>],
         eps: f64,
@@ -591,10 +584,6 @@ impl<const D: usize> crate::SpatialBackend<D> for GridIndex<D> {
         GridIndex::reset_stats(self)
     }
 
-    fn stats_mut(&mut self) -> &mut Stats {
-        GridIndex::stats_mut(self)
-    }
-
     fn insert(&mut self, id: PointId, point: Point<D>) {
         GridIndex::insert(self, id, point)
     }
@@ -620,16 +609,6 @@ impl<const D: usize> crate::SpatialBackend<D> for GridIndex<D> {
         GridIndex::for_each_in_ball(self, center, eps, f)
     }
 
-    fn scan_ball<F: FnMut(PointId, &Point<D>)>(
-        &self,
-        center: &Point<D>,
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    ) {
-        GridIndex::scan_ball(self, center, eps, f, stats)
-    }
-
     fn ball_ids_into(&mut self, center: &Point<D>, eps: f64, out: &mut Vec<PointId>) {
         GridIndex::ball_ids_into(self, center, eps, out)
     }
@@ -645,16 +624,6 @@ impl<const D: usize> crate::SpatialBackend<D> for GridIndex<D> {
         f: F,
     ) {
         GridIndex::for_each_in_balls(self, centers, eps, f)
-    }
-
-    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
-        &self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    ) {
-        GridIndex::scan_balls(self, centers, eps, f, stats)
     }
 
     fn for_each<F: FnMut(PointId, &Point<D>)>(&self, f: F) {

@@ -112,27 +112,6 @@ impl Stats {
         all.into_iter().filter(|&(_, v)| v > 0).collect()
     }
 
-    /// Adds every counter of `other` into `self` — how per-worker counter
-    /// sets gathered by the parallel scan paths fold back into a backend's
-    /// authoritative totals. Fieldwise addition is commutative, but callers
-    /// merge in task order anyway so the totals are reproduced identically
-    /// at every pool width.
-    pub fn merge(&mut self, other: &Stats) {
-        self.range_searches += other.range_searches;
-        self.epoch_probes += other.epoch_probes;
-        self.nodes_visited += other.nodes_visited;
-        self.distance_checks += other.distance_checks;
-        self.subtrees_pruned += other.subtrees_pruned;
-        self.inserts += other.inserts;
-        self.removes += other.removes;
-        self.bulk_insert_batches += other.bulk_insert_batches;
-        self.bulk_remove_batches += other.bulk_remove_batches;
-        self.multi_ball_queries += other.multi_ball_queries;
-        self.multi_ball_centers += other.multi_ball_centers;
-        self.bulk_nodes_visited += other.bulk_nodes_visited;
-        self.bulk_leaf_scans += other.bulk_leaf_scans;
-    }
-
     /// Difference `self - earlier`, for windowed measurements.
     pub fn since(&self, earlier: &Stats) -> Stats {
         Stats {
@@ -258,49 +237,6 @@ mod tests {
         };
         let args = s.span_args();
         assert_eq!(args, vec![("range_searches", 3), ("nodes_visited", 12)]);
-    }
-
-    #[test]
-    fn merge_adds_fieldwise_and_roundtrips_with_since() {
-        let a = Stats {
-            range_searches: 10,
-            epoch_probes: 4,
-            nodes_visited: 100,
-            distance_checks: 50,
-            subtrees_pruned: 3,
-            inserts: 7,
-            removes: 2,
-            bulk_insert_batches: 5,
-            bulk_remove_batches: 4,
-            multi_ball_queries: 9,
-            multi_ball_centers: 90,
-            bulk_nodes_visited: 80,
-            bulk_leaf_scans: 70,
-        };
-        let b = Stats {
-            range_searches: 1,
-            epoch_probes: 2,
-            nodes_visited: 3,
-            distance_checks: 4,
-            subtrees_pruned: 5,
-            inserts: 6,
-            removes: 7,
-            bulk_insert_batches: 8,
-            bulk_remove_batches: 9,
-            multi_ball_queries: 10,
-            multi_ball_centers: 11,
-            bulk_nodes_visited: 12,
-            bulk_leaf_scans: 13,
-        };
-        let mut sum = a;
-        sum.merge(&b);
-        // merge is the inverse of since: (a + b) - b == a, fieldwise.
-        assert_eq!(sum.since(&b), a);
-        assert_eq!(sum.since(&a), b);
-        // Merging the default is the identity.
-        let mut same = a;
-        same.merge(&Stats::default());
-        assert_eq!(same, a);
     }
 
     #[test]

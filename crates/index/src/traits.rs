@@ -44,16 +44,11 @@ use disc_geom::{Point, PointId};
 /// consequently not object-safe — backends are selected by type parameter,
 /// which is also what lets the compiler specialise the hot paths.
 ///
-/// `Send + Sync` is part of the contract: the parallel slide engine shares a
-/// frozen `&B` snapshot across workers during its read-only scan phases
-/// ([`scan_ball`](Self::scan_ball) / [`scan_balls`](Self::scan_balls)). Both
-/// shipped backends are plain owned data, so the bounds are free.
-///
 /// [`MemoryFootprint`](disc_telemetry::MemoryFootprint) is likewise part of
 /// the contract: the engine publishes per-component byte gauges every slide,
 /// and the paper's headline claim is a *memory* comparison — a backend that
 /// cannot account for its own bytes cannot participate in the ablation.
-pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFootprint {
+pub trait SpatialBackend<const D: usize>: disc_telemetry::MemoryFootprint {
     /// Short name for reports and ablation tables (e.g. `"rtree"`).
     const NAME: &'static str;
 
@@ -86,11 +81,6 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
     /// Resets the operation counters.
     fn reset_stats(&mut self);
 
-    /// Mutable access to the operation counters, so per-worker [`Stats`]
-    /// deltas from the `scan_*` methods can be merged back (in task order —
-    /// see [`Stats::merge`]) after a parallel phase.
-    fn stats_mut(&mut self) -> &mut Stats;
-
     /// Inserts a point. Duplicate `(id, point)` pairs are the caller's
     /// responsibility.
     fn insert(&mut self, id: PointId, point: Point<D>);
@@ -107,19 +97,6 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
     /// Calls `f(id, point)` for every stored point within `eps` of
     /// `center` (inclusive), in unspecified order.
     fn for_each_in_ball<F: FnMut(PointId, &Point<D>)>(&mut self, center: &Point<D>, eps: f64, f: F);
-
-    /// Read-only flavour of [`for_each_in_ball`](Self::for_each_in_ball):
-    /// identical answers and traversal order, but counters accumulate into
-    /// the caller-supplied `stats` instead of the index's own. This is the
-    /// parallel-engine entry point — many workers may scan one shared `&self`
-    /// concurrently, each with a private `Stats`, merged afterwards.
-    fn scan_ball<F: FnMut(PointId, &Point<D>)>(
-        &self,
-        center: &Point<D>,
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    );
 
     /// Clears `out` and fills it with the ids within `eps` of `center`.
     fn ball_ids_into(&mut self, center: &Point<D>, eps: f64, out: &mut Vec<PointId>) {
@@ -143,17 +120,6 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
         centers: &[Point<D>],
         eps: f64,
         f: F,
-    );
-
-    /// Read-only flavour of [`for_each_in_balls`](Self::for_each_in_balls)
-    /// with caller-supplied counters; same sharing contract as
-    /// [`scan_ball`](Self::scan_ball).
-    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
-        &self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
     );
 
     /// Iterates over every stored `(id, point)` pair (diagnostics/tests).
@@ -215,10 +181,6 @@ impl<const D: usize> SpatialBackend<D> for RTree<D> {
         RTree::reset_stats(self)
     }
 
-    fn stats_mut(&mut self) -> &mut Stats {
-        RTree::stats_mut(self)
-    }
-
     fn insert(&mut self, id: PointId, point: Point<D>) {
         RTree::insert(self, id, point)
     }
@@ -244,16 +206,6 @@ impl<const D: usize> SpatialBackend<D> for RTree<D> {
         RTree::for_each_in_ball(self, center, eps, f)
     }
 
-    fn scan_ball<F: FnMut(PointId, &Point<D>)>(
-        &self,
-        center: &Point<D>,
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    ) {
-        RTree::scan_ball(self, center, eps, f, stats)
-    }
-
     fn ball_ids_into(&mut self, center: &Point<D>, eps: f64, out: &mut Vec<PointId>) {
         RTree::ball_ids_into(self, center, eps, out)
     }
@@ -269,16 +221,6 @@ impl<const D: usize> SpatialBackend<D> for RTree<D> {
         f: F,
     ) {
         RTree::for_each_in_balls(self, centers, eps, f)
-    }
-
-    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
-        &self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    ) {
-        RTree::scan_balls(self, centers, eps, f, stats)
     }
 
     fn for_each<F: FnMut(PointId, &Point<D>)>(&self, f: F) {
@@ -342,41 +284,11 @@ mod tests {
         );
         assert_eq!(ix.ball_count(&Point::new([2.0, 0.0]), 1.0), 5);
 
-        // The read-only scan flavour answers identically on `&self`, and its
-        // caller-side counter delta merges back into the index's totals.
-        let before = *ix.stats();
-        let mut delta = Stats::default();
-        let mut scan_ids = Vec::new();
-        ix.scan_ball(
-            &Point::new([2.0, 0.0]),
-            1.0,
-            |id, _| scan_ids.push(id),
-            &mut delta,
-        );
-        scan_ids.sort_unstable();
-        assert_eq!(scan_ids, ids);
-        assert_eq!(delta.range_searches, 1);
-        ix.stats_mut().merge(&delta);
-        assert_eq!(ix.stats().range_searches, before.range_searches + 1);
-
         // Multi-center traversal covers each center exactly.
         let centers = [Point::new([0.0, 0.0]), Point::new([9.5, 0.0])];
         let mut per_center = [0usize; 2];
         ix.for_each_in_balls(&centers, 1.0, |ci, _, _| per_center[ci] += 1);
         assert_eq!(per_center, [3, 3]);
-
-        // Same for the multi-center scan: identical per-center coverage.
-        let mut scan_per_center = [0usize; 2];
-        let mut delta = Stats::default();
-        ix.scan_balls(
-            &centers,
-            1.0,
-            |ci, _, _| scan_per_center[ci] += 1,
-            &mut delta,
-        );
-        assert_eq!(scan_per_center, per_center);
-        assert_eq!(delta.multi_ball_queries, 1);
-        ix.stats_mut().merge(&delta);
 
         // Epoch probe: everything fresh once, nothing twice.
         let probe = ix.begin_epoch();
@@ -442,11 +354,6 @@ mod tests {
         exercise::<crate::GridIndex<2>>();
     }
 
-    #[test]
-    fn curve_satisfies_the_contract() {
-        exercise::<crate::CurveIndex<2>>();
-    }
-
     /// Runs one identical instrumented workload — bulk load, plain and
     /// multi-center queries, epoch probes over a fully-visited region (so
     /// pruning fires), point mutation, bulk removal — and returns the
@@ -501,8 +408,7 @@ mod tests {
         // unpopulated zero.
         let r = counter_workload::<RTree<2>>();
         let g = counter_workload::<crate::GridIndex<2>>();
-        let c = counter_workload::<crate::CurveIndex<2>>();
-        for (backend, s) in [("rtree", &r), ("grid", &g), ("curve", &c)] {
+        for (backend, s) in [("rtree", &r), ("grid", &g)] {
             for (name, v) in [
                 ("range_searches", s.range_searches),
                 ("epoch_probes", s.epoch_probes),
@@ -522,14 +428,12 @@ mod tests {
             }
         }
         // Exact-count symmetry where the unit is backend-independent.
-        for s in [&g, &c] {
-            assert_eq!(r.range_searches, s.range_searches);
-            assert_eq!(r.epoch_probes, s.epoch_probes);
-            assert_eq!(r.inserts, s.inserts);
-            assert_eq!(r.removes, s.removes);
-            assert_eq!(r.multi_ball_queries, s.multi_ball_queries);
-            assert_eq!(r.multi_ball_centers, s.multi_ball_centers);
-        }
+        assert_eq!(r.range_searches, g.range_searches);
+        assert_eq!(r.epoch_probes, g.epoch_probes);
+        assert_eq!(r.inserts, g.inserts);
+        assert_eq!(r.removes, g.removes);
+        assert_eq!(r.multi_ball_queries, g.multi_ball_queries);
+        assert_eq!(r.multi_ball_centers, g.multi_ball_centers);
     }
 
     #[test]
@@ -538,21 +442,15 @@ mod tests {
             .map(|i| (PointId(i), Point::new([(i % 7) as f64, (i / 7) as f64])))
             .collect();
         let mut a = RTree::<2>::from_batch(1.0, items.clone());
-        let mut b = crate::GridIndex::<2>::from_batch(1.0, items.clone());
-        let mut v = crate::CurveIndex::<2>::from_batch(1.0, items);
+        let mut b = crate::GridIndex::<2>::from_batch(1.0, items);
         let c = Point::new([3.0, 3.0]);
         let mut ia = Vec::new();
         let mut ib = Vec::new();
-        let mut iv = Vec::new();
         a.ball_ids_into(&c, 2.0, &mut ia);
         b.ball_ids_into(&c, 2.0, &mut ib);
-        v.ball_ids_into(&c, 2.0, &mut iv);
         ia.sort_unstable();
         ib.sort_unstable();
-        iv.sort_unstable();
         assert_eq!(ia, ib);
-        assert_eq!(ia, iv);
         assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), v.len());
     }
 }

@@ -82,12 +82,6 @@ impl<const D: usize> RTree<D> {
         self.stats.reset();
     }
 
-    /// Mutable access to the operation counters, for folding per-worker
-    /// counter sets gathered by the `scan_*` paths back into the totals.
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
     pub(crate) fn alloc(&mut self, node: Node<D>) -> NodeIdx {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = node;
@@ -555,13 +549,10 @@ impl<const D: usize> RTree<D> {
         self.stats = stats;
     }
 
-    /// Read-only flavour of [`for_each_in_ball`](Self::for_each_in_ball):
-    /// the traversal never touches the tree, and the counters go into the
-    /// caller-supplied `stats` instead of the tree's own. This is what the
-    /// parallel slide engine shares across workers — many `scan_ball`
-    /// calls may run on `&self` concurrently, each with a private counter
-    /// set, merged back afterwards (see [`Stats::merge`]).
-    pub fn scan_ball(
+    /// The traversal behind [`for_each_in_ball`](Self::for_each_in_ball):
+    /// it reads only the node arena, so the counters go into a separate
+    /// `stats` while `f` is running.
+    fn scan_ball(
         &self,
         center: &Point<D>,
         eps: f64,

@@ -76,7 +76,6 @@ fn encode_config(cfg: &DiscConfig) -> Vec<u8> {
     e.u8(match cfg.backend {
         IndexBackend::RTree => 0,
         IndexBackend::Grid => 1,
-        IndexBackend::Curve => 2,
     });
     e.into_bytes()
 }
@@ -95,7 +94,9 @@ fn decode_config(bytes: &[u8]) -> Result<DiscConfig, PersistError> {
     let backend = match d.u8()? {
         0 => IndexBackend::RTree,
         1 => IndexBackend::Grid,
-        2 => IndexBackend::Curve,
+        // Tag 2 is the retired curve backend. Restore rebuilds the index
+        // from the window points, so its checkpoints resume on the grid.
+        2 => IndexBackend::Grid,
         other => {
             return Err(PersistError::Corrupt {
                 section: "config".into(),
@@ -117,12 +118,6 @@ fn decode_config(bytes: &[u8]) -> Result<DiscConfig, PersistError> {
         enable_epoch_probe: flags & 2 != 0,
         enable_bulk_slide: flags & 4 != 0,
         backend,
-        // Deliberately NOT persisted: worker count is a host-execution knob
-        // with no effect on clustering output, and the restoring host may
-        // have different parallelism than the checkpointing one. Both encode
-        // and decode sides see the same process-stable ambient default, so
-        // config round-trips stay exact.
-        threads: DiscConfig::default_threads(),
     })
 }
 
@@ -550,6 +545,27 @@ mod tests {
             decode_checkpoint::<2>(&bad),
             Err(PersistError::BadMagic { kind: "checkpoint" })
         ));
+    }
+
+    #[test]
+    fn retired_curve_tag_decodes_as_grid() {
+        // Tag 2 was the curve backend; older checkpoints carrying it resume
+        // on the grid. Tags past it stay corrupt.
+        let cfg = DiscConfig::new(0.75, 4).with_backend(IndexBackend::RTree);
+        let mut bytes = encode_config(&cfg);
+        let tag = bytes.len() - 1;
+        bytes[tag] = 2;
+        assert_eq!(
+            decode_config(&bytes).unwrap(),
+            cfg.with_backend(IndexBackend::Grid)
+        );
+        for other in [3u8, 255] {
+            bytes[tag] = other;
+            assert!(matches!(
+                decode_config(&bytes),
+                Err(PersistError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]
