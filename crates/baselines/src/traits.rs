@@ -24,6 +24,20 @@ pub trait WindowClusterer<const D: usize> {
     /// point set the driver last told them about via `assign_window`.
     fn assignments(&self) -> Vec<(PointId, i64)>;
 
+    /// Number of distinct clusters in the current window. The default
+    /// counts the distinct non-negative labels of
+    /// [`assignments`](WindowClusterer::assignments); engines that keep
+    /// the count up to date override it.
+    fn num_clusters(&self) -> usize {
+        let labels: std::collections::BTreeSet<i64> = self
+            .assignments()
+            .into_iter()
+            .map(|(_, l)| l)
+            .filter(|&l| l >= 0)
+            .collect();
+        labels.len()
+    }
+
     /// Total ε-range searches executed so far (0 for methods that do not
     /// use a spatial index).
     fn range_searches(&self) -> u64 {
@@ -75,6 +89,10 @@ impl<const D: usize, B: SpatialBackend<D>> WindowClusterer<D> for Disc<D, B> {
         Disc::assignments(self)
     }
 
+    fn num_clusters(&self) -> usize {
+        Disc::num_clusters(self)
+    }
+
     fn range_searches(&self) -> u64 {
         self.index_stats().range_searches
     }
@@ -117,6 +135,14 @@ mod tests {
         }
         assert_eq!(m.name(), "DISC");
         assert_eq!(m.assignments().len(), 200);
+        // The O(1) override agrees with a count over the labels.
+        let labels: std::collections::BTreeSet<i64> = m
+            .assignments()
+            .iter()
+            .map(|a| a.1)
+            .filter(|&l| l >= 0)
+            .collect();
+        assert_eq!(m.num_clusters(), labels.len());
         assert!(m.range_searches() > 0);
         assert!(m.memory_bytes() > 0);
     }

@@ -185,13 +185,7 @@ impl DimCommand for ClusterCmd {
                 stats_summary(&registry, slides + 1, health.as_ref().map(|h| h.summary()));
             }
             if !opts.quiet {
-                let clusters: std::collections::HashSet<i64> = method
-                    .assignments()
-                    .into_iter()
-                    .map(|(_, l)| l)
-                    .filter(|&l| l >= 0)
-                    .collect();
-                eprintln!("slide {slides}: {} clusters", clusters.len());
+                eprintln!("slide {slides}: {} clusters", method.num_clusters());
             }
         }
         let elapsed = start.elapsed();

@@ -104,7 +104,8 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     } else if q.in_window && q.adopter == Some(r) {
                         // A border that leaned on this ex-core.
                         q.adopter = None;
-                        self.needs_adoption.insert(qid);
+                        self.census.border -= 1;
+                        self.needs_adoption.push(qid);
                     }
                 }
                 for &qid in &discovered_ex {
@@ -112,13 +113,13 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                         r_minus.push(qid);
                     }
                 }
+                // The scan saw every core of the new window within ε, so
+                // the choice is final: without one the ex-core is noise.
                 if let Some(rec) = self.points.get_mut(r) {
                     if rec.in_window {
                         rec.adopter = my_adopter;
-                        if my_adopter.is_none() {
-                            // No core in range right now; a neo-core scan may
-                            // still adopt it, otherwise it is noise.
-                            self.needs_adoption.insert(r);
+                        if my_adopter.is_some() {
+                            self.census.border += 1;
                         }
                     }
                 }
@@ -257,13 +258,22 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     }
 
     /// Assigns one fresh cluster id per detached component.
+    ///
+    /// Cores of both windows move their membership to the fresh id.
+    /// Neo-cores reached by the search join a cluster only when the
+    /// neo-core phase assigns one, so they carry no membership yet.
     fn relabel_detached(&mut self, detached: &[Vec<PointId>], tau: usize) {
         for comp in detached {
-            let fresh = ClusterId(self.clusters.alloc());
+            let fresh = self.clusters.alloc();
             for id in comp {
                 if let Some(rec) = self.points.get_mut(*id) {
                     debug_assert!(rec.is_core(tau));
-                    rec.cid = fresh;
+                    // Components may list an id twice.
+                    if rec.prev_core && rec.cid.0 != fresh {
+                        self.clusters.remove_member(rec.cid.0);
+                        self.clusters.add_member(fresh);
+                    }
+                    rec.cid = ClusterId(fresh);
                 }
             }
         }
@@ -332,6 +342,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                         if q.adopter.is_none() {
                             q.adopter = Some(r);
                             adopted_here.insert(qid);
+                            self.census.border += 1;
                         } else if adopted_here.contains(&qid) && q.adopter > Some(r) {
                             q.adopter = Some(r);
                         }
@@ -379,9 +390,11 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 let rec = self.points.get_mut(*id).expect("neo-core vanished");
                 debug_assert!(rec.is_core(tau));
                 rec.cid = assigned;
+                self.clusters.add_member(assigned.0);
                 // A neo-core sheds any border bookkeeping it carried.
-                rec.adopter = None;
-                self.needs_adoption.remove(id);
+                if rec.adopter.take().is_some() {
+                    self.census.border -= 1;
+                }
             }
         }
     }
@@ -390,11 +403,18 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     // Final adoption pass (§V, "updated later by examining neighbours")
     // ------------------------------------------------------------------
 
+    /// Searches for a new adopter for every border whose adopter departed
+    /// or became an ex-core this slide — the only non-cores that can lack
+    /// an adopter while a core of the new window lies within ε. A point
+    /// that had a core in range last slide kept an adopter unless one of
+    /// those two events cleared it; a core that entered its range is a
+    /// neo-core, whose phase adopts every orphan in its ball; and a fresh
+    /// point was settled at insertion (DESIGN.md, "Border adoption").
     pub(crate) fn adoption_pass(&mut self, stats: &mut SlideStats) {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
-        let mut pending: Vec<PointId> = self.needs_adoption.drain().collect();
-        // Canonical order (the set's iteration order is an insertion-history
+        let mut pending = std::mem::take(&mut self.needs_adoption);
+        // Canonical order (the list's order is an insertion-history
         // artifact). The pass only writes each pending point's own adopter,
         // so neither the searched set nor any result depends on order — but
         // pinning it keeps the provenance stream identical across runs.
@@ -407,7 +427,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 .is_some_and(|rec| !rec.is_core(tau) && rec.adopter.is_none() && rec.in_window)
         });
         let mut ball_buf: Vec<PointId> = Vec::new();
-        for id in pending {
+        for &id in &pending {
             let center = self.points.point_at(id);
             stats.adoption_searches += 1;
             ball_buf.clear();
@@ -426,11 +446,175 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             }
             self.points.get_mut(id).expect("record vanished").adopter = adopter;
             if let Some(core) = adopter {
+                self.census.border += 1;
                 self.emit_prov(disc_telemetry::ProvenanceKind::Adoption {
                     border: id.0,
                     core: core.0,
                 });
             }
         }
+        pending.clear();
+        self.needs_adoption = pending;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Targeted adoption: only borders whose adopter departed or became an
+    //! ex-core are searched, on both backends and both slide paths.
+
+    use crate::config::DiscConfig;
+    use crate::engine::Disc;
+    use crate::label::PointLabel;
+    use disc_geom::{Point, PointId};
+    use disc_index::{GridIndex, RTree, SpatialBackend};
+    use disc_window::SlideBatch;
+
+    type Pt = (u64, f64, f64);
+
+    fn slide(incoming: &[Pt], outgoing: &[Pt]) -> SlideBatch<2> {
+        let pts = |list: &[Pt]| {
+            list.iter()
+                .map(|&(i, x, y)| (PointId(i), Point::new([x, y])))
+                .collect()
+        };
+        SlideBatch {
+            incoming: pts(incoming),
+            outgoing: pts(outgoing),
+        }
+    }
+
+    /// Runs `scenario` on both backends, each with both slide paths.
+    fn everywhere(scenario: fn(&mut dyn Engine)) {
+        for cfg in [
+            DiscConfig::new(1.0, 5),
+            DiscConfig::new(1.0, 5).without_bulk_slide(),
+        ] {
+            scenario(&mut Disc::<2, RTree<2>>::with_index(cfg));
+            scenario(&mut Disc::<2, GridIndex<2>>::with_index(cfg));
+        }
+    }
+
+    /// The engine calls the scenarios make, independent of the backend.
+    trait Engine {
+        fn slide(&mut self, incoming: &[Pt], outgoing: &[Pt]) -> usize;
+        fn label(&self, id: u64) -> PointLabel;
+        fn counts(&mut self) -> ((usize, usize, usize), usize);
+    }
+
+    impl<B: SpatialBackend<2>> Engine for Disc<2, B> {
+        /// Applies one slide and returns its adoption searches.
+        fn slide(&mut self, incoming: &[Pt], outgoing: &[Pt]) -> usize {
+            self.apply(&slide(incoming, outgoing)).adoption_searches
+        }
+
+        fn label(&self, id: u64) -> PointLabel {
+            self.label_of(PointId(id)).expect("point in the window")
+        }
+
+        /// Census and cluster count, after checking them against a recount.
+        fn counts(&mut self) -> ((usize, usize, usize), usize) {
+            self.check_invariants();
+            (self.census(), self.num_clusters())
+        }
+    }
+
+    #[test]
+    fn noise_churn_does_no_adoption_searches() {
+        everywhere(|disc| {
+            // Five cores at the origin with one border (τ = 5, ε = 1).
+            let cluster = [
+                (0, 0.0, 0.0),
+                (1, 0.2, 0.0),
+                (2, 0.0, 0.2),
+                (3, 0.2, 0.2),
+                (4, 0.1, 0.1),
+                (5, 1.05, 0.1),
+            ];
+            // A loose line of noise far away: each point has one or two
+            // neighbours, so churn along it changes counts but no core.
+            let noise: Vec<Pt> = (0..14)
+                .map(|i| (10 + i, 50.0 + 0.8 * i as f64, 0.0))
+                .collect();
+            let fill: Vec<Pt> = cluster.iter().chain(&noise[..8]).copied().collect();
+            disc.slide(&fill, &[]);
+            assert_eq!(disc.counts(), ((5, 1, 8), 1));
+            for step in 0..6 {
+                let searches = disc.slide(&[noise[8 + step]], &[noise[step]]);
+                assert_eq!(searches, 0, "step {step}");
+                assert_eq!(disc.counts(), ((5, 1, 8), 1));
+            }
+        });
+    }
+
+    #[test]
+    fn departing_core_searches_once_per_orphaned_border() {
+        everywhere(|disc| {
+            // One core with four borders, pairwise more than ε apart.
+            let star = [
+                (0, 0.0, 0.0),
+                (1, 0.9, 0.0),
+                (2, 0.0, 0.9),
+                (3, -0.9, 0.0),
+                (4, 0.0, -0.9),
+            ];
+            disc.slide(&star, &[]);
+            assert_eq!(disc.counts(), ((1, 4, 0), 1));
+            let searches = disc.slide(&[], &star[..1]);
+            assert_eq!(searches, 4);
+            for id in 1..=4 {
+                assert_eq!(disc.label(id), PointLabel::Noise, "p{id}");
+            }
+            assert_eq!(disc.counts(), ((0, 0, 4), 0));
+        });
+    }
+
+    #[test]
+    fn demoted_core_hands_its_borders_to_the_smallest_id_core_in_range() {
+        everywhere(|disc| {
+            // Border 10 at the origin sees three cores, each held up by
+            // three helpers on its far side: a = 1, c = 2, d = 3. It is
+            // adopted by the smallest id, a.
+            let core_with_helpers = |id: u64, (x, y): (f64, f64)| {
+                let (ux, uy) = (x / 0.9, y / 0.9);
+                let (vx, vy) = (-uy, ux);
+                [
+                    (id, x, y),
+                    (10 * id + 10, 1.5 * ux, 1.5 * uy),
+                    (10 * id + 11, 1.4 * ux + 0.3 * vx, 1.4 * uy + 0.3 * vy),
+                    (10 * id + 12, 1.4 * ux - 0.3 * vx, 1.4 * uy - 0.3 * vy),
+                ]
+            };
+            let a = core_with_helpers(1, (-0.9, 0.0));
+            let c = core_with_helpers(2, (0.0, 0.9));
+            let d = core_with_helpers(3, (0.0, -0.9));
+            let fill: Vec<Pt> = [(10, 0.0, 0.0)]
+                .iter()
+                .chain(&a)
+                .chain(&c)
+                .chain(&d)
+                .copied()
+                .collect();
+            disc.slide(&fill, &[]);
+            assert_eq!(disc.counts(), ((3, 10, 0), 3));
+            let PointLabel::Core(cluster_a) = disc.label(1) else {
+                panic!("a must be a core");
+            };
+            assert_eq!(disc.label(10), PointLabel::Border(cluster_a));
+
+            // One helper leaves: a drops below τ and becomes an ex-core.
+            // Its orphans are border 10 and its two other helpers; a
+            // itself has no core in range and is settled by its own scan.
+            let searches = disc.slide(&[], &a[1..2]);
+            assert_eq!(searches, 3);
+            let PointLabel::Core(cluster_c) = disc.label(2) else {
+                panic!("c must be a core");
+            };
+            assert_eq!(disc.label(10), PointLabel::Border(cluster_c));
+            for id in [1, 21, 22] {
+                assert_eq!(disc.label(id), PointLabel::Noise, "p{id}");
+            }
+            assert_eq!(disc.counts(), ((2, 7, 3), 2));
+        });
     }
 }

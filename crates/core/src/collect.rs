@@ -63,28 +63,38 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         }
 
         // --- Classification (Alg. 1 line 13) -----------------------------
-        // Departed ex-cores first (they are no longer in `touched`).
+        // Departed ex-cores first, then the candidates in id order. A point
+        // changes core status only if its count crossed τ (down during the
+        // deletions for an ex-core, up during the insertions for a
+        // neo-core) or it is fresh, so the candidates cover every ex- and
+        // neo-core without visiting the rest of the stride's neighbourhood.
+        // Sorting pins the classification order — and with it every
+        // downstream seed order and cluster-id allocation — to the point ids
+        // alone, so every backend emits identical output.
         out.ex_cores.extend(out.ghosts.iter().copied());
-        // Canonical order: `touched` is a hash set whose iteration order is
-        // an artifact of insertion history, which each backend's traversal
-        // order changes. Sorting pins the classification order — and with it
-        // every downstream seed order and cluster-id allocation — to the
-        // point ids alone, so every backend emits identical output.
-        let mut touched: Vec<PointId> = self.touched.iter().copied().collect();
-        touched.sort_unstable();
-        for id in &touched {
-            let rec = self.points.at(*id);
+        self.crossed.sort_unstable();
+        self.crossed.dedup();
+        for &id in &self.crossed {
+            // Departed points are gone; ghosts are already listed.
+            let Some(rec) = self.points.get(id) else {
+                continue;
+            };
+            if !rec.in_window {
+                continue;
+            }
             if rec.is_ex_core(tau) {
-                out.ex_cores.push(*id);
+                out.ex_cores.push(id);
             } else if rec.is_neo_core(tau) {
-                out.neo_cores.push(*id);
-            } else if !rec.is_core(tau) && rec.adopter.is_none() {
-                // Fresh non-core without an opportunistic adopter, or a
-                // point that dropped out of core range: let the adoption
-                // pass decide between border and noise.
-                self.needs_adoption.insert(*id);
+                out.neo_cores.push(id);
             }
         }
+        // An ex-core leaves its cluster's core count now, while its cluster
+        // id still resolves to the previous window's root; a neo-core joins
+        // one when the neo-core phase assigns its cluster.
+        for &id in &out.ex_cores {
+            self.clusters.remove_member(self.points.meta_at(id).cid.0);
+        }
+        self.census.core = self.census.core + out.neo_cores.len() - out.ex_cores.len();
         if self.prov_on {
             for id in &out.ex_cores {
                 self.emit_prov(disc_telemetry::ProvenanceKind::ExCoreDetected { id: id.0 });
@@ -103,6 +113,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// Deletions (Alg. 1 lines 2-7), one tree traversal per element.
     fn delete_per_point(&mut self, batch: &SlideBatch<D>, out: &mut CollectOutcome) {
         let eps = self.cfg.eps;
+        let tau = self.cfg.tau;
         for (id, _) in &batch.outgoing {
             let rec = self
                 .points
@@ -113,8 +124,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             // Decrement the neighbourhood and invalidate adopters that
             // pointed at the departing point.
             let points = &mut self.points;
-            let touched = &mut self.touched;
+            let crossed = &mut self.crossed;
             let needs_adoption = &mut self.needs_adoption;
+            let census = &mut self.census;
             let me = *id;
             self.tree.for_each_in_ball(&rec.point, eps, |qid, _| {
                 if qid == me {
@@ -123,15 +135,21 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 if let Some(q) = points.get_mut(qid) {
                     if q.in_window {
                         q.n_eps -= 1;
-                        touched.insert(qid);
+                        if q.n_eps as usize + 1 == tau {
+                            crossed.push(qid);
+                        }
                         if q.adopter == Some(me) {
                             q.adopter = None;
-                            needs_adoption.insert(qid);
+                            census.border -= 1;
+                            needs_adoption.push(qid);
                         }
                     }
                 }
             });
 
+            if rec.adopter.is_some() {
+                self.census.border -= 1;
+            }
             if rec.prev_core {
                 // Departed ex-core: keep the ghost (C_out).
                 let ghost = self.points.get_mut(*id).expect("record vanished");
@@ -143,7 +161,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 self.tree.remove(*id, rec.point);
                 self.points.remove(*id);
             }
-            self.touched.remove(id);
         }
     }
 
@@ -151,7 +168,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     fn insert_per_point(&mut self, batch: &SlideBatch<D>) {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
-        for (id, point) in &batch.incoming {
+        let incoming: FxHashSet<PointId> = batch.incoming.iter().map(|(id, _)| *id).collect();
+        let mut hits: Vec<(u32, PointId)> = Vec::new();
+        for (ci, (id, point)) in batch.incoming.iter().enumerate() {
             debug_assert!(
                 !self.points.contains(*id),
                 "incoming point {id} already in the window"
@@ -170,10 +189,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             // already indexed, so every Δin-internal pair is counted exactly
             // once (by the later of the two).
             let points = &mut self.points;
-            let touched = &mut self.touched;
+            let crossed = &mut self.crossed;
             let me = *id;
             let mut gained = 0u32;
-            let mut adopter = None;
             self.tree.for_each_in_ball(point, eps, |qid, _| {
                 if qid == me {
                     return;
@@ -182,25 +200,20 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     if q.in_window {
                         q.n_eps += 1;
                         gained += 1;
-                        touched.insert(qid);
-                        // Opportunistic adoption: a neighbour that already
-                        // meets τ now can only stay a core for the rest of
-                        // the insertion phase (counts only grow), so it is a
-                        // valid adopter for the final window. The smallest
-                        // qualifying id wins so the choice is independent of
-                        // the index's traversal order (and hence identical
-                        // across spatial backends).
-                        if q.n_eps as usize >= tau && adopter.is_none_or(|a| qid < a) {
-                            adopter = Some(qid);
+                        if q.n_eps as usize == tau {
+                            crossed.push(qid);
+                        }
+                        if !incoming.contains(&qid) {
+                            hits.push((ci as u32, qid));
                         }
                     }
                 }
             });
             fresh.n_eps += gained;
-            fresh.adopter = adopter;
             self.points.insert(*id, fresh);
-            self.touched.insert(*id);
+            self.crossed.push(*id);
         }
+        self.adopt_fresh(batch, &hits);
     }
 
     // ------------------------------------------------------------------
@@ -220,6 +233,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             return;
         }
         let eps = self.cfg.eps;
+        let tau = self.cfg.tau;
         let outgoing: FxHashSet<PointId> = batch.outgoing.iter().map(|(id, _)| *id).collect();
         let mut ids: Vec<PointId> = Vec::with_capacity(batch.outgoing.len());
         let mut centers: Vec<Point<D>> = Vec::with_capacity(batch.outgoing.len());
@@ -234,8 +248,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         }
 
         let points = &mut self.points;
-        let touched = &mut self.touched;
+        let crossed = &mut self.crossed;
         let needs_adoption = &mut self.needs_adoption;
+        let census = &mut self.census;
         self.tree.for_each_in_balls(&centers, eps, |ci, qid, _| {
             // Skips the center itself and every fellow departure.
             if outgoing.contains(&qid) {
@@ -244,10 +259,13 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             if let Some(q) = points.get_mut(qid) {
                 if q.in_window {
                     q.n_eps -= 1;
-                    touched.insert(qid);
+                    if q.n_eps as usize + 1 == tau {
+                        crossed.push(qid);
+                    }
                     if q.adopter == Some(ids[ci]) {
                         q.adopter = None;
-                        needs_adoption.insert(qid);
+                        census.border -= 1;
+                        needs_adoption.push(qid);
                     }
                 }
             }
@@ -257,7 +275,10 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // Departed ex-cores keep their entries (C_out ghosts).
         let mut evict: Vec<(PointId, Point<D>)> = Vec::new();
         for (ci, id) in ids.iter().enumerate() {
-            let rec = self.points.at(*id);
+            let rec = self.points.meta_at(*id);
+            if rec.adopter.is_some() {
+                self.census.border -= 1;
+            }
             if rec.prev_core {
                 let ghost = self.points.get_mut(*id).expect("record vanished");
                 ghost.in_window = false;
@@ -267,7 +288,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 evict.push((*id, centers[ci]));
                 self.points.remove(*id);
             }
-            self.touched.remove(id);
         }
         let evicted = self.tree.bulk_remove(&evict);
         debug_assert_eq!(evicted, evict.len(), "departing points must be indexed");
@@ -279,11 +299,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// every neighbourhood. A pair of Δin points shows up twice (once from
     /// each center), so the count is applied on one orientation only —
     /// preserving the count-each-pair-once invariant the per-point path gets
-    /// from its insert-then-scan ordering. Opportunistic adopters are taken
-    /// from established neighbours that meet τ when observed: counts only
-    /// grow during this phase, so such a neighbour is a core of the final
-    /// window; newcomers the traversal cannot vouch for fall through to the
-    /// adoption pass, which resolves them with final counts.
+    /// from its insert-then-scan ordering.
     fn insert_batched(&mut self, batch: &SlideBatch<D>) {
         if batch.incoming.is_empty() {
             return;
@@ -316,7 +332,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let mut hits: Vec<(u32, PointId)> = Vec::new();
         let mut intra: Vec<(u32, u32)> = Vec::new();
         let points = &mut self.points;
-        let touched = &mut self.touched;
+        let crossed = &mut self.crossed;
         self.tree.for_each_in_balls(&centers, eps, |ci, qid, _| {
             if let Some(&qi) = center_of.get(&qid) {
                 // Δin-Δin pair: record one orientation, apply both ends
@@ -330,7 +346,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 if q.in_window {
                     q.n_eps += 1;
                     gained[ci] += 1;
-                    touched.insert(qid);
+                    if q.n_eps as usize == tau {
+                        crossed.push(qid);
+                    }
                     hits.push((ci as u32, qid));
                 }
             }
@@ -339,25 +357,42 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             gained[a as usize] += 1;
             gained[b as usize] += 1;
         }
-        // Opportunistic adoption on settled counts: a pre-existing neighbour
-        // whose final `n_ε` meets τ is a core of the new window and may adopt
-        // the fresh point. Deciding after the scan (rather than mid-scan)
-        // keeps the candidate set — and the min-id winner — independent of
-        // the index's traversal order, so all spatial backends agree.
-        let mut adopters: Vec<Option<PointId>> = vec![None; centers.len()];
-        for &(ci, qid) in &hits {
-            let q = self.points.at(qid);
-            if q.n_eps as usize >= tau && adopters[ci as usize].is_none_or(|a| qid < a) {
-                adopters[ci as usize] = Some(qid);
-            }
-        }
-
         for (i, (id, point)) in batch.incoming.iter().enumerate() {
             let mut fresh = PointRecord::new(*point);
             fresh.n_eps += gained[i];
-            fresh.adopter = adopters[i];
             self.points.insert(*id, fresh);
-            self.touched.insert(*id);
+            self.crossed.push(*id);
+        }
+        self.adopt_fresh(batch, &hits);
+    }
+
+    /// Opportunistic adoption of the fresh points, shared by both insertion
+    /// paths. `hits` pairs a fresh point's batch index with each neighbour
+    /// that was in the window before the insertions.
+    ///
+    /// Runs on settled counts: a neighbour whose final `n_ε` meets τ is a
+    /// core of the new window, and the smallest such id adopts. Deciding
+    /// after the scan rather than mid-scan matters twice. The choice no
+    /// longer depends on the index's traversal order, so all backends
+    /// agree. And a neighbour whose count dipped below τ during the
+    /// deletions and recovered during the insertions is still seen. Every
+    /// core in range of a fresh point is therefore either chosen here or a
+    /// neo-core, which the neo-core phase scans, so no fresh point needs
+    /// the adoption pass.
+    fn adopt_fresh(&mut self, batch: &SlideBatch<D>, hits: &[(u32, PointId)]) {
+        let tau = self.cfg.tau;
+        let mut adopters: Vec<Option<PointId>> = vec![None; batch.incoming.len()];
+        for &(ci, qid) in hits {
+            let slot = &mut adopters[ci as usize];
+            if self.points.meta_at(qid).n_eps as usize >= tau && slot.is_none_or(|a| qid < a) {
+                *slot = Some(qid);
+            }
+        }
+        for ((id, _), adopter) in batch.incoming.iter().zip(adopters) {
+            if adopter.is_some() {
+                self.points.get_mut(*id).expect("fresh record").adopter = adopter;
+                self.census.border += 1;
+            }
         }
     }
 }

@@ -4,7 +4,9 @@
 //!
 //! * over **cluster ids** — a merger of clusters is recorded as a single
 //!   `union`, so no points need relabelling; a point's public cluster id is
-//!   `find(cid)` at read time;
+//!   `find(cid)` at read time. Each root also carries its set's member count
+//!   (the engine counts core points), so the number of live clusters is a
+//!   counter rather than a pass over the window;
 //! * over **MS-BFS thread slots** — when two concurrent searches meet they
 //!   merge, and the epoch probe resolves stored owners through this
 //!   structure.
@@ -12,10 +14,18 @@
 use disc_geom::FxHashMap;
 
 /// Union-find with path halving and union by size.
+///
+/// Besides the slot structure it keeps a member count per root and the
+/// number of roots whose count is non-zero ([`live`](Dsu::live)). Members
+/// are whatever the caller registers with [`add_member`](Dsu::add_member);
+/// a union merges the counts. They are not serialized: a restored
+/// structure starts at zero and the caller re-registers its members.
 #[derive(Clone, Debug, Default)]
 pub struct Dsu {
     parent: Vec<u32>,
     size: Vec<u32>,
+    members: Vec<u32>,
+    live: usize,
 }
 
 impl Dsu {
@@ -39,6 +49,7 @@ impl Dsu {
         let id = self.parent.len() as u32;
         self.parent.push(id);
         self.size.push(1);
+        self.members.push(0);
         id
     }
 
@@ -95,7 +106,37 @@ impl Dsu {
         };
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
+        let moved = std::mem::take(&mut self.members[small as usize]);
+        if moved > 0 && self.members[big as usize] > 0 {
+            self.live -= 1;
+        }
+        self.members[big as usize] += moved;
         big
+    }
+
+    /// Registers one member in `x`'s set.
+    pub fn add_member(&mut self, x: u32) {
+        let r = self.find(x) as usize;
+        if self.members[r] == 0 {
+            self.live += 1;
+        }
+        self.members[r] += 1;
+    }
+
+    /// Unregisters one member of `x`'s set. Panics (debug) if the set has
+    /// none.
+    pub fn remove_member(&mut self, x: u32) {
+        let r = self.find(x) as usize;
+        debug_assert!(self.members[r] > 0, "set {r} has no member to remove");
+        self.members[r] -= 1;
+        if self.members[r] == 0 {
+            self.live -= 1;
+        }
+    }
+
+    /// Number of sets with at least one registered member.
+    pub fn live(&self) -> usize {
+        self.live
     }
 
     /// Whether `a` and `b` are in the same set.
@@ -158,7 +199,13 @@ impl Dsu {
                 state[slot] = 2;
             }
         }
-        Ok(Dsu { parent, size })
+        let members = vec![0; parent.len()];
+        Ok(Dsu {
+            parent,
+            size,
+            members,
+            live: 0,
+        })
     }
 }
 
@@ -166,7 +213,8 @@ impl disc_telemetry::MemoryFootprint for Dsu {
     fn footprint(&self) -> disc_telemetry::FootprintNode {
         disc_telemetry::FootprintNode::leaf(
             "dsu",
-            (self.parent.capacity() + self.size.capacity()) * std::mem::size_of::<u32>(),
+            (self.parent.capacity() + self.size.capacity() + self.members.capacity())
+                * std::mem::size_of::<u32>(),
         )
     }
 }
@@ -258,6 +306,32 @@ mod tests {
         assert!(err.contains("cycles"), "got: {err}");
         assert!(Dsu::from_parts(vec![1, 2, 0], vec![1, 1, 1]).is_err());
         assert!(Dsu::from_parts(Vec::new(), Vec::new()).is_ok());
+    }
+
+    #[test]
+    fn member_counts_follow_unions() {
+        let mut d = Dsu::new();
+        let ids: Vec<u32> = (0..4).map(|_| d.alloc()).collect();
+        assert_eq!(d.live(), 0);
+        d.add_member(ids[0]);
+        d.add_member(ids[0]);
+        d.add_member(ids[1]);
+        assert_eq!(d.live(), 2);
+        // Merging an empty set into a live one keeps one live set.
+        d.union(ids[2], ids[0]);
+        assert_eq!(d.live(), 2);
+        // Merging two live sets leaves one, holding both counts.
+        d.union(ids[1], ids[2]);
+        assert_eq!(d.live(), 1);
+        for _ in 0..3 {
+            d.remove_member(ids[1]);
+        }
+        assert_eq!(d.live(), 0);
+        d.add_member(ids[3]);
+        assert_eq!(d.live(), 1);
+        // A restored structure starts with no members.
+        let back = Dsu::from_parts(d.parent_slice().to_vec(), d.size_slice().to_vec()).unwrap();
+        assert_eq!(back.live(), 0);
     }
 
     #[test]

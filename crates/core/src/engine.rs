@@ -56,6 +56,16 @@ impl std::fmt::Display for SlideError {
 
 impl std::error::Error for SlideError {}
 
+/// Core and border counts of the window. Noise is the rest of the window.
+///
+/// Every slide keeps them current at the sites that change a point's core
+/// status or its adopter, so reading them costs nothing per slide.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Census {
+    pub(crate) core: usize,
+    pub(crate) border: usize,
+}
+
 /// An incremental DBSCAN-equivalent clusterer for sliding windows.
 ///
 /// Feed it the [`SlideBatch`]es produced by
@@ -85,17 +95,24 @@ pub struct Disc<const D: usize, B: SpatialBackend<D> = RTree<D>> {
     pub(crate) points: PointStore<D>,
     /// Spatial index over the window (plus `C_out` ghosts mid-slide).
     pub(crate) tree: B,
-    /// Union-find over cluster ids; the canonical id is the root.
+    /// Union-find over cluster ids; the canonical id is the root. Each
+    /// root counts its core points, which makes the live-cluster count a
+    /// counter.
     pub(crate) clusters: Dsu,
-    /// Non-core points whose adopter was invalidated this slide; resolved
-    /// by the final adoption pass.
-    pub(crate) needs_adoption: FxHashSet<PointId>,
-    /// Points whose `n_ε` changed this slide (candidate ex-/neo-cores).
-    pub(crate) touched: FxHashSet<PointId>,
+    /// Non-core points whose adopter departed or became an ex-core this
+    /// slide; resolved by the final adoption pass.
+    pub(crate) needs_adoption: Vec<PointId>,
+    /// Candidate ex-/neo-cores of this slide: every point whose `n_ε`
+    /// crossed τ, plus every fresh point. Holds duplicates and departed ids
+    /// until COLLECT's classification sorts and deduplicates it; cleared
+    /// when the next slide starts.
+    pub(crate) crossed: Vec<PointId>,
+    /// Core and border counts of the window.
+    pub(crate) census: Census,
     /// Memoised DSU-root resolution shared by every `&self` inspection
     /// method between slides; invalidated by `apply` (the only place unions
-    /// happen). A bench loop calling `labels()`, `num_clusters()` and
-    /// `census()` per slide walks each parent chain once, not three times.
+    /// happen). A bench loop calling `labels()`, `assignments()` and
+    /// `snapshot()` per slide walks each parent chain once, not three times.
     root_cache: RefCell<FxHashMap<u32, u32>>,
     last_stats: SlideStats,
     /// Telemetry destination. Defaults to the no-op recorder, whose
@@ -134,8 +151,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             points: PointStore::new(),
             tree: B::with_eps_hint(cfg.eps),
             clusters: Dsu::new(),
-            needs_adoption: FxHashSet::default(),
-            touched: FxHashSet::default(),
+            needs_adoption: Vec::new(),
+            crossed: Vec::new(),
+            census: Census::default(),
             root_cache: RefCell::new(FxHashMap::default()),
             last_stats: SlideStats::default(),
             recorder: disc_telemetry::noop(),
@@ -257,7 +275,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             ..SlideStats::default()
         };
 
-        self.touched.clear();
+        self.crossed.clear();
         self.needs_adoption.clear();
 
         let sp_slide = self.tracer.begin("slide");
@@ -295,12 +313,12 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         self.tracer
             .end_with_args(sp, &[("searches", stats.adoption_searches as u64)]);
 
-        // Freeze core status for the next slide and drop any remaining
-        // bookkeeping. Ghost records were dropped by the cluster step.
+        // Freeze core status for the next slide. Only ex- and neo-cores
+        // changed it; ghost records were dropped by the cluster step.
         let tau = self.cfg.tau;
-        for id in self.touched.drain() {
+        for &id in outcome.ex_cores.iter().chain(&outcome.neo_cores) {
             if let Some(rec) = self.points.get_mut(id) {
-                rec.prev_core = rec.in_window && rec.n_eps as usize >= tau;
+                rec.prev_core = rec.is_core(tau);
             }
         }
 
@@ -335,8 +353,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             if let Some(rss) = disc_telemetry::rss_bytes() {
                 self.recorder.gauge_set("disc_rss_bytes", rss as f64);
             }
-            // Census gauges for the health layer: O(window), so they ride
-            // the same gate as the footprint walk.
+            // Census gauges for the health layer.
             let (core, border, noise) = self.census();
             self.recorder.gauge_set("disc_core_points", core as f64);
             self.recorder.gauge_set("disc_border_points", border as f64);
@@ -488,32 +505,33 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         rows.into_iter().map(|(_, p, l)| (p, l)).collect()
     }
 
-    /// Number of distinct clusters in the current window.
+    /// Number of distinct clusters in the current window. O(1): read from
+    /// the cluster union-find's per-root core counts.
     pub fn num_clusters(&self) -> usize {
-        let mut cache = self.root_cache.borrow_mut();
-        let mut roots: FxHashSet<u32> = FxHashSet::default();
-        for (_, rec) in self.points.iter() {
-            if rec.is_core(self.cfg.tau) {
-                roots.insert(self.clusters.find_cached(rec.cid.0, &mut cache));
-            }
-        }
-        roots.len()
+        self.clusters.live()
     }
 
-    /// Number of core / border / noise points (diagnostics).
+    /// Number of core / border / noise points. O(1): read from counters
+    /// every slide keeps current.
     pub fn census(&self) -> (usize, usize, usize) {
-        let mut cache = self.root_cache.borrow_mut();
-        let mut core = 0;
-        let mut border = 0;
-        let mut noise = 0;
+        let Census { core, border } = self.census;
+        (core, border, self.points.len() - core - border)
+    }
+
+    /// Registers every core with its cluster and recounts the census: the
+    /// one pass over the window a restored engine makes before its
+    /// counters can be read.
+    pub(crate) fn recount(&mut self) {
+        let tau = self.cfg.tau;
+        self.census = Census::default();
         for (_, rec) in self.points.iter() {
-            match self.resolve_label_with(&rec, &mut |x| self.clusters.find_cached(x, &mut cache)) {
-                PointLabel::Core(_) => core += 1,
-                PointLabel::Border(_) => border += 1,
-                PointLabel::Noise => noise += 1,
+            if rec.is_core(tau) {
+                self.census.core += 1;
+                self.clusters.add_member(rec.cid.0);
+            } else if rec.adopter.is_some() {
+                self.census.border += 1;
             }
         }
-        (core, border, noise)
     }
 
     /// Validates internal invariants exhaustively — O(n · range search).
@@ -521,6 +539,21 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     pub fn check_invariants(&mut self) {
         self.tree.check_invariants();
         assert_eq!(self.tree.len(), self.points.len(), "tree/map desync");
+        // The O(1) counters against a recount from the labels.
+        let mut census = (0, 0, 0);
+        let mut roots: FxHashSet<u32> = FxHashSet::default();
+        for (_, rec) in self.points.iter() {
+            match self.resolve_label(&rec) {
+                PointLabel::Core(c) => {
+                    census.0 += 1;
+                    roots.insert(c.0);
+                }
+                PointLabel::Border(_) => census.1 += 1,
+                PointLabel::Noise => census.2 += 1,
+            }
+        }
+        assert_eq!(self.census(), census, "census counters drifted");
+        assert_eq!(self.num_clusters(), roots.len(), "cluster counter drifted");
         let tau = self.cfg.tau;
         let eps = self.cfg.eps;
         let ids: Vec<(PointId, Point<D>)> =
@@ -551,13 +584,14 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 impl<const D: usize, B: SpatialBackend<D>> disc_telemetry::MemoryFootprint for Disc<D, B> {
     /// Engine-state heap bytes, decomposed into the components the
     /// `disc_mem_bytes{component=...}` gauges publish: point store, spatial
-    /// index, cluster DSU, the per-slide bookkeeping sets, and the memoised
-    /// root cache. Transient slide scratch is out of scope — this accounts for what the window *retains*.
+    /// index, cluster DSU (with its per-root core counts), the per-slide
+    /// bookkeeping lists, and the memoised root cache. Transient slide
+    /// scratch is out of scope — this accounts for what the window
+    /// *retains*. The census counters live inline in the engine.
     fn footprint(&self) -> disc_telemetry::FootprintNode {
         use disc_telemetry::{map_bytes, FootprintNode};
-        let set_entry = std::mem::size_of::<(PointId, ())>();
-        let sets = map_bytes(self.needs_adoption.capacity(), set_entry)
-            + map_bytes(self.touched.capacity(), set_entry);
+        let sets = (self.needs_adoption.capacity() + self.crossed.capacity())
+            * std::mem::size_of::<PointId>();
         let cache = map_bytes(
             self.root_cache.borrow().capacity(),
             std::mem::size_of::<(u32, u32)>(),

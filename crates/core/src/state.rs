@@ -231,6 +231,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         disc.points = points;
         disc.tree = tree;
         disc.clusters = clusters;
+        disc.recount();
         disc.set_slide_seq(state.slide_seq);
         Ok(disc)
     }

@@ -444,6 +444,73 @@ proptest! {
             );
         }
     }
+
+    /// The O(1) census and cluster count survive a checkpoint round trip
+    /// taken partway through the stream, on both backends and both slide
+    /// paths.
+    #[test]
+    fn counters_survive_recovery_on_random_streams(
+        seed in 0u64..5000,
+        eps in 0.6..2.0f64,
+        tau in 2usize..6,
+        window in 60usize..160,
+        stride_frac in 1usize..10,
+        cut in 1usize..12,
+        bulk in prop::bool::ANY,
+        grid in prop::bool::ANY,
+    ) {
+        let stride = (window * stride_frac / 10).max(1);
+        let mut recs = datasets::gaussian_blobs::<2>(400, 3, 1.0, seed);
+        let noise = datasets::uniform::<2>(100, 25.0, seed ^ 0xbeef);
+        for (i, n) in noise.into_iter().enumerate() {
+            recs.insert((i * 5) % recs.len(), n);
+        }
+        let mut cfg = DiscConfig::new(eps, tau);
+        if !bulk {
+            cfg = cfg.without_bulk_slide();
+        }
+        if grid {
+            counters_survive_recovery::<GridIndex<2>>(recs, window, stride, cfg, cut);
+        } else {
+            counters_survive_recovery::<disc_index::RTree<2>>(recs, window, stride, cfg, cut);
+        }
+    }
+}
+
+/// Runs a stream, exporting the engine's state after slide `cut` and
+/// keeping every later batch as a WAL tail, then recovers a second engine
+/// from the two. `check_invariants` compares the O(1) census and cluster
+/// count against a recount on every slide of the original and on the
+/// recovered engine, which must also report what the original reports.
+fn counters_survive_recovery<B: SpatialBackend<2>>(
+    records: Vec<Record<2>>,
+    window: usize,
+    stride: usize,
+    cfg: DiscConfig,
+    cut: usize,
+) {
+    let mut w = SlidingWindow::new(records, window, stride);
+    let mut disc: Disc<2, B> = Disc::with_index(cfg);
+    disc.apply(&w.fill());
+    disc.check_invariants();
+    let mut image = None;
+    let mut tail = Vec::new();
+    while let Some(batch) = w.advance() {
+        if disc.slide_seq() as usize == cut {
+            image = Some(disc.export_state());
+        }
+        disc.apply(&batch);
+        disc.check_invariants();
+        if image.is_some() {
+            tail.push(batch);
+        }
+    }
+    let image = image.unwrap_or_else(|| disc.export_state());
+    let (mut back, _) = Disc::<2, B>::recover(image, tail).expect("the tail continues the image");
+    back.check_invariants();
+    assert_eq!(back.census(), disc.census());
+    assert_eq!(back.num_clusters(), disc.num_clusters());
+    assert_eq!(back.assignments(), disc.assignments());
 }
 
 /// Renumbers cluster ids by first appearance in ascending point-id order;
